@@ -2,7 +2,7 @@
 //! hierarchical), sustained churn at 100-host scale, and priority queues.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use homa_sim::{EngineKind, EventEngine, EventQueue, LaneId, SimTime};
+use homa_sim::{EngineKind, EventEngine, EventQueue, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("simcore");
@@ -25,12 +25,12 @@ fn bench_event_queue(c: &mut Criterion) {
 }
 
 /// The operation sequence of a sustained churn benchmark: near-monotone
-/// per-lane times (the TxDone / SwitchArrive pattern — each lane's next
-/// event is almost always later than its last), with ~3% of arrivals
-/// slightly out of order. Pre-generated — absolute times included — so
+/// per-source times (the TxDone / SwitchArrive pattern — each fabric
+/// node's next event is almost always later than its last), with ~3% of
+/// arrivals slightly out of order. Pre-generated — absolute times included — so
 /// every engine replays identical operations and the timed loop contains
 /// nothing but engine work.
-fn churn_ops(lanes: u32, n: usize) -> Vec<(u32, u64)> {
+fn churn_ops(lanes: u32, n: usize) -> Vec<u64> {
     let mut lcg = 0x1234_5678_9abc_def0u64;
     let mut next = move || {
         lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -44,13 +44,13 @@ fn churn_ops(lanes: u32, n: usize) -> Vec<(u32, u64)> {
             let delta = if r % 33 == 0 { -((r % 500) as i64) } else { (r % 2_000) as i64 };
             let t = (lane_clock[lane as usize] + delta).max(0);
             lane_clock[lane as usize] = t.max(lane_clock[lane as usize]);
-            (lane, t as u64)
+            t as u64
         })
         .collect()
 }
 
 /// Sustained event churn shaped like the multi-TOR fabrics the perf gate
-/// runs (40 hosts → 47 lanes, 100 → 113, 160 → 179): a deep steady
+/// runs (40 hosts → 47 fabric nodes, 100 → 113, 160 → 179): a deep steady
 /// state, then one pop + one push per step. Run on both engines over the
 /// *identical* operation sequence — this pair is the ROADMAP's "2x churn"
 /// measurement (see EXPERIMENTS.md).
@@ -58,19 +58,20 @@ fn bench_engine_churn(c: &mut Criterion) {
     const STEADY: usize = 20_000;
     const STEPS: usize = 100_000;
 
-    // (host count, lanes = hosts + TORs + spines) per Topology::multi_tor.
+    // (host count, nodes = hosts + TORs + spines) per Topology::multi_tor;
+    // each node is one near-monotone time source in `churn_ops`.
     for (hosts, lanes) in [(40u32, 47u32), (100, 113), (160, 179)] {
         let ops = churn_ops(lanes, STEADY + STEPS);
         let run = |kind: EngineKind| {
-            let mut q: EventEngine<u64> = EventEngine::new(kind, lanes);
-            for (i, &(lane, t)) in ops[..STEADY].iter().enumerate() {
-                q.schedule(LaneId(lane), SimTime::from_nanos(t), i as u64);
+            let mut q: EventEngine<u64> = EventEngine::new(kind);
+            for (i, &t) in ops[..STEADY].iter().enumerate() {
+                q.schedule(SimTime::from_nanos(t), i as u64);
             }
             let mut acc = 0u64;
-            for (i, &(lane, t)) in ops[STEADY..].iter().enumerate() {
+            for (i, &t) in ops[STEADY..].iter().enumerate() {
                 let (_, v) = q.pop().expect("steady state");
                 acc = acc.wrapping_add(v);
-                q.schedule(LaneId(lane), SimTime::from_nanos(t), i as u64);
+                q.schedule(SimTime::from_nanos(t), i as u64);
             }
             acc
         };
@@ -89,9 +90,9 @@ fn bench_engine_churn(c: &mut Criterion) {
     // events across the fabric's lanes, then drain completely.
     let ops = churn_ops(113, 100_000);
     let fill_drain = move |kind: EngineKind| {
-        let mut q: EventEngine<u64> = EventEngine::new(kind, 113);
-        for (i, &(lane, t)) in ops.iter().enumerate() {
-            q.schedule(LaneId(lane), SimTime::from_nanos(t), i as u64);
+        let mut q: EventEngine<u64> = EventEngine::new(kind);
+        for (i, &t) in ops.iter().enumerate() {
+            q.schedule(SimTime::from_nanos(t), i as u64);
         }
         let mut acc = 0u64;
         while let Some((_, v)) = q.pop() {

@@ -356,7 +356,6 @@ mod tests {
         };
         let base = run(EngineKind::Hierarchical);
         assert_eq!(run(EngineKind::LegacyHeap), base);
-        assert_eq!(run(EngineKind::ParallelHier { threads: 2, batch: 0 }), base);
     }
 
     #[test]

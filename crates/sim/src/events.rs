@@ -8,7 +8,7 @@
 //!
 //! * [`EventQueue`] — the original monolithic binary heap. Simple, and
 //!   still what small simulations use via [`EngineKind::LegacyHeap`].
-//! * [`HierEventQueue`] — the calendar-bucketed lane engine that makes
+//! * [`HierEventQueue`] — the calendar-bucketed engine that makes
 //!   100+ host fabrics affordable. Time is divided into fixed-width
 //!   *epochs* (the width is sized from the fabric's minimum link delay,
 //!   rounded to a power of two so the epoch of a timestamp is one shift).
@@ -31,17 +31,10 @@
 //!   heap probe per pop and the legacy heap pays `O(log n)` of the
 //!   *total* pending population.
 //!
-//! Events carry a [`LaneId`] naming the fabric node whose state their
-//! dispatch touches. The calendar itself is global (lanes no longer need
-//! their own queues to make inserts cheap); the lane tag is what lets
-//! [`crate::Network`] group events by rack for conservative-window
-//! parallel dispatch (see `network.rs`), which is also why entries keep
-//! their lane through the queue.
-//!
-//! Because all engines order by the same globally-assigned
+//! Because both engines order by the same globally-assigned
 //! `(time, seq)` key, a simulation pops the *bit-identical* event
-//! sequence from any of them; `tests/determinism.rs` in the workspace
-//! root proves this end-to-end, including for the parallel dispatcher.
+//! sequence from either of them; `tests/determinism.rs` in the workspace
+//! root proves this end-to-end.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -53,18 +46,10 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimerToken(pub u64);
 
-/// Identifies one event lane of a [`HierEventQueue`]. Lanes are dense
-/// indices assigned by whoever builds the engine (the network maps hosts,
-/// TORs and spines to consecutive lanes). The engine itself only stores
-/// the tag; the network uses it to group events by rack when dispatching
-/// conservative windows in parallel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct LaneId(pub u32);
-
 /// Number of near-future epochs the calendar ring covers. Events beyond
 /// `RING_EPOCHS * width` nanoseconds ahead spill to the far heap until
 /// their epoch comes within reach of becoming current. Sized so a deep
-/// steady state on a *small* fabric (fewer lanes → a wider pending-time
+/// steady state on a *small* fabric (fewer hosts → a wider pending-time
 /// span per event population) still fits in the ring: 4096 × 256 ns ≈
 /// 1 ms of horizon, while the ring's empty slots cost only pointers.
 const RING_EPOCHS: u64 = 4096;
@@ -72,7 +57,6 @@ const RING_EPOCHS: u64 = 4096;
 struct Entry<E> {
     at: SimTime,
     seq: u64,
-    lane: u32,
     payload: E,
 }
 
@@ -119,7 +103,7 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, lane: 0, payload });
+        self.heap.push(Entry { at, seq, payload });
     }
 
     /// Remove and return the earliest event.
@@ -153,14 +137,11 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// Counters describing how the calendar engine (and, when enabled, the
-/// parallel window dispatcher) behaved over a run; exposed for
-/// `perf-smoke` output and engine tuning.
+/// Counters describing how the calendar engine behaved over a run;
+/// exposed for `perf-smoke` output and engine tuning. All zero on the
+/// legacy heap.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Number of event lanes the engine was built with (1 for the legacy
-    /// heap).
-    pub lanes: u32,
     /// Calendar bucket width in nanoseconds (0 for the legacy heap).
     pub bucket_width_ns: u64,
     /// Events inserted into a near-future ring bucket (the O(1) path).
@@ -176,23 +157,8 @@ pub struct EngineStats {
     pub epochs_merged: u64,
     /// Largest single merged epoch population.
     pub max_epoch_events: u64,
-    /// Conservative windows dispatched (0 unless the network ran with
-    /// [`EngineKind::ParallelHier`]).
-    pub windows: u64,
-    /// Events dispatched through conservative windows.
-    pub window_events: u64,
-    /// Largest single conservative window, in events.
-    pub max_window_events: u64,
-    /// Windows that took the single-hot-group fast path: every drained
-    /// event belonged to one dispatch group, so the window ran inline
-    /// through `DirectSink` with no worker handoff and no merge.
-    pub fast_windows: u64,
-    /// Bookkeeping batches the window dispatcher rolled windows into
-    /// (deterministic: derived from drained-event counts, never from
-    /// wall clock).
-    pub batches: u64,
-    /// Recycled buffers trimmed back to their recent high-water mark
-    /// (calendar epoch buckets and window scratch).
+    /// Recycled epoch-bucket buffers trimmed back to their recent
+    /// high-water mark.
     pub buffer_trims: u64,
 }
 
@@ -239,25 +205,14 @@ pub struct HierEventQueue<E> {
     /// dominant cost at scale). Only written under `engine-profile`.
     #[cfg(feature = "engine-profile")]
     sort_ns: u64,
-    /// Events inserted per lane — the occupancy skew that decides how
-    /// well rack-grouped windows balance. Only under `engine-profile`.
-    #[cfg(feature = "engine-profile")]
-    lane_scheduled: Vec<u64>,
 }
 
 impl<E> HierEventQueue<E> {
-    /// An empty engine with `lanes` event lanes and the default 256 ns
-    /// bucket width.
-    pub fn new(lanes: u32) -> Self {
-        Self::with_bucket_width(lanes, 256)
-    }
-
-    /// An empty engine with `lanes` lanes and epoch buckets of
-    /// `width_ns` nanoseconds, rounded up to a power of two (fabrics pass
-    /// their minimum link delay here — 250 ns on the paper fabric, so
-    /// buckets are 256 ns wide).
-    pub fn with_bucket_width(lanes: u32, width_ns: u64) -> Self {
-        assert!(lanes >= 1, "need at least one lane");
+    /// An empty engine with epoch buckets of `width_ns` nanoseconds,
+    /// rounded up to a power of two (fabrics pass their minimum link
+    /// delay here — 250 ns on the paper fabric, so buckets are 256 ns
+    /// wide).
+    pub fn with_bucket_width(width_ns: u64) -> Self {
         let shift = width_ns.max(1).next_power_of_two().trailing_zeros().min(30);
         HierEventQueue {
             shift,
@@ -270,13 +225,11 @@ impl<E> HierEventQueue<E> {
             far: BinaryHeap::new(),
             next_seq: 0,
             len: 0,
-            stats: EngineStats { lanes, bucket_width_ns: 1 << shift, ..EngineStats::default() },
+            stats: EngineStats { bucket_width_ns: 1 << shift, ..EngineStats::default() },
             bucket_hw: crate::arena::HighWater::default(),
             bucket_trim_target: usize::MAX,
             #[cfg(feature = "engine-profile")]
             sort_ns: 0,
-            #[cfg(feature = "engine-profile")]
-            lane_scheduled: vec![0; lanes as usize],
         }
     }
 
@@ -284,30 +237,12 @@ impl<E> HierEventQueue<E> {
         at.as_nanos() >> self.shift
     }
 
-    /// Schedule `payload` on `lane` at `at`. Events at equal times fire in
-    /// the order they were scheduled, across all lanes.
-    ///
-    /// # Panics
-    /// If `lane` is out of range for this engine — catching the mistake
-    /// at the call site instead of deep inside a later group dispatch.
-    pub fn schedule(&mut self, lane: LaneId, at: SimTime, payload: E) {
-        assert!(
-            lane.0 < self.stats.lanes,
-            "lane {} out of range ({} lanes)",
-            lane.0,
-            self.stats.lanes
-        );
+    /// Schedule `payload` at `at`. Events at equal times fire in the
+    /// order they were scheduled.
+    pub fn schedule(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(Entry { at, seq, lane: lane.0, payload });
-    }
-
-    #[inline]
-    fn insert(&mut self, entry: Entry<E>) {
-        #[cfg(feature = "engine-profile")]
-        {
-            self.lane_scheduled[entry.lane as usize] += 1;
-        }
+        let entry = Entry { at, seq, payload };
         let e = self.epoch_of(entry.at);
         // Hot path first: one wrapping compare covers the whole ring
         // window `cur_epoch < e < cur_epoch + RING_EPOCHS` (an epoch at
@@ -433,7 +368,7 @@ impl<E> HierEventQueue<E> {
         }
     }
 
-    /// Remove and return the earliest event across all lanes.
+    /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.pop_entry_bounded(None).map(|e| (e.at, e.payload))
     }
@@ -441,37 +376,6 @@ impl<E> HierEventQueue<E> {
     /// Remove and return the earliest event if it fires at or before `t`.
     pub fn pop_if_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
         self.pop_entry_bounded(Some(t)).map(|e| (e.at, e.payload))
-    }
-
-    /// Like [`pop_if_before`](Self::pop_if_before) but keeps the lane tag
-    /// and global sequence number — the conservative-window dispatcher
-    /// needs both to partition a window by rack group and to merge the
-    /// groups' emissions back in the exact sequential order.
-    pub(crate) fn pop_entry_if_before(&mut self, t: SimTime) -> Option<(LaneId, SimTime, u64, E)> {
-        self.pop_entry_bounded(Some(t)).map(|e| (LaneId(e.lane), e.at, e.seq, e.payload))
-    }
-
-    /// The sequence number the next scheduled event would get. Window
-    /// dispatch uses this as the provisional-numbering base: every
-    /// pending event's sequence is below it.
-    pub(crate) fn seq_floor(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Consume and return the next global sequence number without
-    /// scheduling anything (the window merge assigns sequence numbers in
-    /// merged emission order, exactly as sequential dispatch would have).
-    pub(crate) fn assign_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
-    }
-
-    /// Insert an event whose sequence number was pre-assigned by
-    /// [`assign_seq`](Self::assign_seq) during a window merge.
-    pub(crate) fn schedule_with_seq(&mut self, lane: LaneId, at: SimTime, seq: u64, payload: E) {
-        debug_assert!(seq < self.next_seq, "sequence not pre-assigned");
-        self.insert(Entry { at, seq, lane: lane.0, payload });
     }
 
     /// The time of the earliest pending event.
@@ -499,7 +403,7 @@ impl<E> HierEventQueue<E> {
         }
     }
 
-    /// Number of pending events across all lanes.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -526,53 +430,19 @@ impl<E> HierEventQueue<E> {
             0
         }
     }
-
-    /// Events inserted per lane over the engine's lifetime — the
-    /// occupancy skew behind window-dispatch load balance. `None`
-    /// without the `engine-profile` cargo feature.
-    pub fn lane_occupancy(&self) -> Option<&[u64]> {
-        #[cfg(feature = "engine-profile")]
-        {
-            Some(&self.lane_scheduled)
-        }
-        #[cfg(not(feature = "engine-profile"))]
-        {
-            None
-        }
-    }
 }
 
 /// Which event engine a [`crate::Network`] runs on. The default is the
-/// (sequential) calendar engine; the `legacy-engine` cargo feature flips
-/// the default back to the monolithic heap so the whole test suite can be
-/// A/B-d against it (`cargo test --features homa-sim/legacy-engine`).
+/// calendar engine; the `legacy-engine` cargo feature flips the default
+/// back to the monolithic heap so the whole test suite can be A/B-d
+/// against it (`cargo test --features homa-sim/legacy-engine`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The calendar-bucketed lane engine ([`HierEventQueue`]), dispatched
-    /// sequentially.
+    /// The calendar-bucketed engine ([`HierEventQueue`]).
     Hierarchical,
-    /// The original single binary heap ([`EventQueue`]).
+    /// The original single binary heap ([`EventQueue`]), kept as the
+    /// reference the calendar engine is differentially tested against.
     LegacyHeap,
-    /// The calendar engine with conservative-window parallel dispatch:
-    /// the network groups lanes by rack and dispatches each group's
-    /// sub-window on worker threads, merging emissions back in exact
-    /// `(time, seq)` order — runs stay bit-identical to the other
-    /// engines. Requires the `parallel` cargo feature (on by default);
-    /// without it, dispatch falls back to the sequential calendar engine.
-    ParallelHier {
-        /// Worker threads for window dispatch. `0` = auto (the machine's
-        /// available parallelism); `1` runs the window machinery inline
-        /// (useful for determinism tests with no thread overhead).
-        threads: u32,
-        /// Windows batched per bookkeeping round-trip (profiling
-        /// samples, stats rollups, worker handoffs are amortized across
-        /// the batch). `0` = auto: the `HOMA_SIM_BATCH` environment
-        /// variable if set, else an adaptive size derived from drained-
-        /// event density. Any value produces bit-identical results —
-        /// batching changes only when bookkeeping happens, never event
-        /// order.
-        batch: u32,
-    },
 }
 
 impl Default for EngineKind {
@@ -585,30 +455,11 @@ impl Default for EngineKind {
     }
 }
 
-impl EngineKind {
-    /// The parallel engine with its thread count taken from the
-    /// `HOMA_SIM_THREADS` environment variable (`0`/unset = auto).
-    pub fn parallel_from_env() -> EngineKind {
-        Self::parallel_from_threads_str(std::env::var("HOMA_SIM_THREADS").ok().as_deref())
-    }
-
-    /// [`parallel_from_env`](Self::parallel_from_env)'s parsing, split
-    /// out so it can be tested without mutating the live process
-    /// environment: `None`/unparseable/`"0"` all mean auto.
-    pub fn parallel_from_threads_str(threads: Option<&str>) -> EngineKind {
-        let threads = threads.and_then(|v| v.parse::<u32>().ok()).unwrap_or(0);
-        EngineKind::ParallelHier { threads, batch: 0 }
-    }
-}
-
-/// A runtime-selectable event engine. All variants order events by the
+/// A runtime-selectable event engine. Both variants order events by the
 /// same globally-assigned `(time, seq)` key, so a simulation is
-/// bit-identical on any of them; the legacy variant simply ignores lanes.
-/// [`EngineKind::ParallelHier`] stores its events in the same calendar
-/// structure — the parallelism lives in the network's dispatch loop, not
-/// in the queue.
+/// bit-identical on either of them.
 pub enum EventEngine<E> {
-    /// The calendar-bucketed lane engine (boxed: the calendar ring makes
+    /// The calendar-bucketed engine (boxed: the calendar ring makes
     /// it much larger than the plain heap variant).
     Hierarchical(Box<HierEventQueue<E>>),
     /// The monolithic heap, kept for A/B determinism and perf checks.
@@ -616,29 +467,26 @@ pub enum EventEngine<E> {
 }
 
 impl<E> EventEngine<E> {
-    /// Build an engine of `kind` over `lanes` lanes with the default
-    /// bucket width.
-    pub fn new(kind: EngineKind, lanes: u32) -> Self {
-        Self::with_bucket_width(kind, lanes, 256)
+    /// Build an engine of `kind` with the default 256 ns bucket width.
+    pub fn new(kind: EngineKind) -> Self {
+        Self::with_bucket_width(kind, 256)
     }
 
-    /// Build an engine of `kind` over `lanes` lanes with `width_ns`-wide
-    /// calendar buckets (ignored by the legacy heap).
-    pub fn with_bucket_width(kind: EngineKind, lanes: u32, width_ns: u64) -> Self {
+    /// Build an engine of `kind` with `width_ns`-wide calendar buckets
+    /// (ignored by the legacy heap).
+    pub fn with_bucket_width(kind: EngineKind, width_ns: u64) -> Self {
         match kind {
-            EngineKind::Hierarchical | EngineKind::ParallelHier { .. } => {
-                EventEngine::Hierarchical(Box::new(HierEventQueue::with_bucket_width(
-                    lanes, width_ns,
-                )))
+            EngineKind::Hierarchical => {
+                EventEngine::Hierarchical(Box::new(HierEventQueue::with_bucket_width(width_ns)))
             }
             EngineKind::LegacyHeap => EventEngine::Legacy(EventQueue::new()),
         }
     }
 
-    /// Schedule `payload` on `lane` at `at`.
-    pub fn schedule(&mut self, lane: LaneId, at: SimTime, payload: E) {
+    /// Schedule `payload` at `at`.
+    pub fn schedule(&mut self, at: SimTime, payload: E) {
         match self {
-            EventEngine::Hierarchical(q) => q.schedule(lane, at, payload),
+            EventEngine::Hierarchical(q) => q.schedule(at, payload),
             EventEngine::Legacy(q) => q.schedule(at, payload),
         }
     }
@@ -680,12 +528,11 @@ impl<E> EventEngine<E> {
         self.len() == 0
     }
 
-    /// Behavior counters (the legacy heap reports a single-lane engine
-    /// with no fast-path accounting).
+    /// Behavior counters (all zero on the legacy heap).
     pub fn stats(&self) -> EngineStats {
         match self {
             EventEngine::Hierarchical(q) => q.stats(),
-            EventEngine::Legacy(_) => EngineStats { lanes: 1, ..EngineStats::default() },
+            EventEngine::Legacy(_) => EngineStats::default(),
         }
     }
 
@@ -695,15 +542,6 @@ impl<E> EventEngine<E> {
         match self {
             EventEngine::Hierarchical(q) => q.epoch_sort_ns(),
             EventEngine::Legacy(_) => 0,
-        }
-    }
-
-    /// Per-lane inserted-event counters (`None` on the legacy heap or
-    /// without the `engine-profile` cargo feature).
-    pub fn lane_occupancy(&self) -> Option<&[u64]> {
-        match self {
-            EventEngine::Hierarchical(q) => q.lane_occupancy(),
-            EventEngine::Legacy(_) => None,
         }
     }
 }
@@ -791,10 +629,10 @@ mod tests {
 
     #[test]
     fn hier_pops_in_time_order_across_lanes() {
-        let mut q = HierEventQueue::new(3);
-        q.schedule(LaneId(0), SimTime::from_nanos(30), "c");
-        q.schedule(LaneId(1), SimTime::from_nanos(10), "a");
-        q.schedule(LaneId(2), SimTime::from_nanos(20), "b");
+        let mut q = HierEventQueue::with_bucket_width(256);
+        q.schedule(SimTime::from_nanos(30), "c");
+        q.schedule(SimTime::from_nanos(10), "a");
+        q.schedule(SimTime::from_nanos(20), "b");
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "a")));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "b")));
@@ -804,10 +642,10 @@ mod tests {
 
     #[test]
     fn hier_equal_times_fire_in_insertion_order_across_lanes() {
-        let mut q = HierEventQueue::new(4);
+        let mut q = HierEventQueue::with_bucket_width(256);
         let t = SimTime::from_nanos(5);
         for i in 0..100u32 {
-            q.schedule(LaneId(i % 4), t, i);
+            q.schedule(t, i);
         }
         for i in 0..100 {
             assert_eq!(q.pop(), Some((t, i)));
@@ -821,10 +659,10 @@ mod tests {
         // periods) and the ballooned buffer circulates back out of its
         // ring slot (RING_EPOCHS later), the engine releases the excess
         // capacity and counts the trim.
-        let mut q = HierEventQueue::with_bucket_width(1, 1024);
+        let mut q = HierEventQueue::with_bucket_width(1024);
         let t = |k: u64| SimTime::from_nanos(k * 1024);
         for i in 0..1000u64 {
-            q.schedule(LaneId(0), t(1), i);
+            q.schedule(t(1), i);
         }
         for _ in 0..1000 {
             q.pop().unwrap();
@@ -834,7 +672,7 @@ mod tests {
         // burst leaves both high-water periods and its buffer resurfaces
         // from the ring (RING_EPOCHS = 4096 epochs later).
         for k in 2..4200u64 {
-            q.schedule(LaneId(0), t(k), k);
+            q.schedule(t(k), k);
             q.pop().unwrap();
         }
         assert!(q.is_empty());
@@ -845,12 +683,12 @@ mod tests {
     fn hier_late_arrivals_into_current_epoch_order_correctly() {
         // Pop once (merging the first epoch), then schedule into it: the
         // late heap must interleave exactly by (time, seq).
-        let mut q = HierEventQueue::with_bucket_width(1, 1024);
-        q.schedule(LaneId(0), SimTime::from_nanos(100), "a");
-        q.schedule(LaneId(0), SimTime::from_nanos(500), "d");
+        let mut q = HierEventQueue::with_bucket_width(1024);
+        q.schedule(SimTime::from_nanos(100), "a");
+        q.schedule(SimTime::from_nanos(500), "d");
         assert_eq!(q.pop().unwrap().1, "a");
-        q.schedule(LaneId(0), SimTime::from_nanos(200), "b");
-        q.schedule(LaneId(0), SimTime::from_nanos(300), "c");
+        q.schedule(SimTime::from_nanos(200), "b");
+        q.schedule(SimTime::from_nanos(300), "c");
         assert!(q.stats().late_events >= 2, "{:?}", q.stats());
         assert_eq!(q.pop().unwrap().1, "b");
         assert_eq!(q.pop().unwrap().1, "c");
@@ -862,11 +700,11 @@ mod tests {
     fn hier_far_future_events_beyond_ring_horizon() {
         // Horizon = RING_EPOCHS * width; schedule far beyond it, plus a
         // near event, and check ordering and the far counter.
-        let mut q = HierEventQueue::with_bucket_width(2, 256);
+        let mut q = HierEventQueue::with_bucket_width(256);
         let horizon = RING_EPOCHS * 256;
-        q.schedule(LaneId(0), SimTime::from_nanos(horizon * 5), "far");
-        q.schedule(LaneId(1), SimTime::from_nanos(10), "near");
-        q.schedule(LaneId(0), SimTime::from_nanos(horizon * 5 + 1), "far2");
+        q.schedule(SimTime::from_nanos(horizon * 5), "far");
+        q.schedule(SimTime::from_nanos(10), "near");
+        q.schedule(SimTime::from_nanos(horizon * 5 + 1), "far2");
         assert_eq!(q.stats().far_events, 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
         assert_eq!(q.pop().unwrap().1, "near");
@@ -886,15 +724,14 @@ mod tests {
             lcg >> 33
         };
         let mut flat: EventQueue<u64> = EventQueue::new();
-        let mut hier: HierEventQueue<u64> = HierEventQueue::with_bucket_width(7, 64);
+        let mut hier: HierEventQueue<u64> = HierEventQueue::with_bucket_width(64);
         let mut popped = 0u64;
         for i in 0..5_000u64 {
             let r = next();
             if r % 3 != 0 || flat.is_empty() {
-                let lane = LaneId((r % 7) as u32);
                 let at = SimTime::from_nanos(r % 10_000);
                 flat.schedule(at, i);
-                hier.schedule(lane, at, i);
+                hier.schedule(at, i);
             } else if r % 2 == 0 {
                 assert_eq!(flat.pop(), hier.pop());
                 popped += 1;
@@ -915,12 +752,11 @@ mod tests {
 
     #[test]
     fn hier_stats_track_bucket_population() {
-        let mut q = HierEventQueue::with_bucket_width(2, 256);
+        let mut q = HierEventQueue::with_bucket_width(256);
         for i in 0..10u64 {
-            q.schedule(LaneId(0), SimTime::from_nanos(300 + i * 10), i);
+            q.schedule(SimTime::from_nanos(300 + i * 10), i);
         }
         let s = q.stats();
-        assert_eq!(s.lanes, 2);
         assert_eq!(s.bucket_width_ns, 256);
         assert_eq!(s.bucket_events, 10);
         assert_eq!(s.far_events, 0);
@@ -932,32 +768,15 @@ mod tests {
     }
 
     #[test]
-    fn hier_preassigned_seq_insert_orders_like_sequential() {
-        // The window merge schedules emissions with pre-assigned sequence
-        // numbers; they must interleave exactly as if scheduled normally.
-        let mut q: HierEventQueue<&str> = HierEventQueue::new(2);
-        q.schedule(LaneId(0), SimTime::from_nanos(1_000), "a");
-        let s1 = q.assign_seq();
-        let s2 = q.assign_seq();
-        // Insert in reverse assignment order: ordering must follow seq.
-        q.schedule_with_seq(LaneId(1), SimTime::from_nanos(1_000), s2, "c");
-        q.schedule_with_seq(LaneId(0), SimTime::from_nanos(1_000), s1, "b");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert!(q.seq_floor() >= 3);
-    }
-
-    #[test]
     fn engine_dispatch_matches_across_kinds() {
         let run = |kind: EngineKind| {
-            let mut q: EventEngine<u32> = EventEngine::new(kind, 3);
+            let mut q: EventEngine<u32> = EventEngine::new(kind);
             let mut out = Vec::new();
-            q.schedule(LaneId(0), SimTime::from_nanos(4), 1);
-            q.schedule(LaneId(1), SimTime::from_nanos(4), 2);
+            q.schedule(SimTime::from_nanos(4), 1);
+            q.schedule(SimTime::from_nanos(4), 2);
             out.push(q.pop().unwrap().1);
-            q.schedule(LaneId(2), SimTime::from_nanos(4), 3);
-            q.schedule(LaneId(0), SimTime::from_nanos(2), 4);
+            q.schedule(SimTime::from_nanos(4), 3);
+            q.schedule(SimTime::from_nanos(2), 4);
             while let Some((_, v)) = q.pop_if_before(SimTime::from_nanos(3)) {
                 out.push(v);
             }
@@ -967,22 +786,6 @@ mod tests {
             out
         };
         assert_eq!(run(EngineKind::Hierarchical), run(EngineKind::LegacyHeap));
-        assert_eq!(
-            run(EngineKind::ParallelHier { threads: 2, batch: 0 }),
-            run(EngineKind::LegacyHeap)
-        );
         assert_eq!(run(EngineKind::Hierarchical), vec![1, 4, 2, 3]);
-    }
-
-    #[test]
-    fn parallel_thread_count_parsing() {
-        // The pure parsing contract behind HOMA_SIM_THREADS, tested
-        // without touching the live process environment (set_var races
-        // with concurrent getenv in a threaded test harness).
-        let parse = EngineKind::parallel_from_threads_str;
-        assert_eq!(parse(Some("3")), EngineKind::ParallelHier { threads: 3, batch: 0 });
-        assert_eq!(parse(Some("0")), EngineKind::ParallelHier { threads: 0, batch: 0 });
-        assert_eq!(parse(Some("lots")), EngineKind::ParallelHier { threads: 0, batch: 0 });
-        assert_eq!(parse(None), EngineKind::ParallelHier { threads: 0, batch: 0 });
     }
 }

@@ -132,12 +132,7 @@ impl TransportActions {
 }
 
 /// One host's protocol instance.
-///
-/// Transports are plain state machines over owned data, so they are
-/// required to be `Send`: the conservative-window parallel dispatcher
-/// (see [`crate::events::EngineKind::ParallelHier`]) moves each rack's
-/// transports onto worker threads for the duration of a window.
-pub trait Transport<M: PacketMeta>: Send {
+pub trait Transport<M: PacketMeta> {
     /// A packet addressed to this host has been received and the host
     /// software delay has elapsed.
     fn on_packet(&mut self, now: SimTime, pkt: Packet<M>, act: &mut TransportActions);

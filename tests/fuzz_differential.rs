@@ -1,7 +1,6 @@
 //! Differential engine fuzzing: every arbitrary [`ScenarioSpec`] must
-//! replay bit-identically on all five event engines (legacy heap,
-//! hierarchical calendar, and conservative-window parallel dispatch on
-//! one and two worker threads plus an explicitly batched variant).
+//! replay bit-identically on both event engines (the legacy heap, the
+//! reference, and the hierarchical calendar).
 //!
 //! This is the randomized companion to `tests/determinism.rs`: instead
 //! of a handful of hand-picked scenarios, each iteration draws a spec
@@ -25,15 +24,8 @@ use homa_sim::EngineKind;
 
 const FAMILY: FuzzFamily = FuzzFamily::new("differential", "HOMA_FUZZ_REPLAY");
 
-const ENGINES: [(&str, EngineKind); 5] = [
-    ("hier", EngineKind::Hierarchical),
-    ("legacy", EngineKind::LegacyHeap),
-    ("par1", EngineKind::ParallelHier { threads: 1, batch: 0 }),
-    ("par2", EngineKind::ParallelHier { threads: 2, batch: 0 }),
-    // An explicit window-batch size: batching only moves bookkeeping
-    // boundaries, so it must be invisible to every arbitrary spec.
-    ("par1b4", EngineKind::ParallelHier { threads: 1, batch: 4 }),
-];
+const ENGINES: [(&str, EngineKind); 2] =
+    [("hier", EngineKind::Hierarchical), ("legacy", EngineKind::LegacyHeap)];
 
 /// The protocols differentially fuzzed, rotated per iteration: Homa
 /// plus the two baselines with the most transport-side state.
