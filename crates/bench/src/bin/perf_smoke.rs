@@ -1,7 +1,8 @@
 //! `perf-smoke` — the CI performance-regression gate.
 //!
 //! Runs a fixed set of deterministic scenarios (fixed seed, W4 at 80%
-//! load, 40- and 100-host multi-TOR fabrics), measures wall-clock and
+//! load on 40- to 1024-host fabrics, plus W1 at 80% on 160 hosts for the
+//! one-packet-message path), measures wall-clock and
 //! events/sec, and emits a machine-readable JSON report. CI compares the
 //! report against the checked-in `BENCH_BASELINE.json` and fails on a
 //! >25% regression — so event-engine speed never silently erodes.
@@ -119,6 +120,23 @@ fn gate_scenarios(engine: EngineKind, quick: bool) -> Vec<GateScenario> {
                 5,
             )),
             min_delivered_frac: 0.90,
+        },
+        // The one-packet-message path: W1 (mostly single-packet
+        // messages) @ 80% on the 160-host fabric. Transport callbacks
+        // dominate here, not the engine, and almost nothing is granted;
+        // no W4 row reaches this mix. It runs before the 1k-host row so
+        // its peak RSS is its own, not that row's allocator residue.
+        GateScenario {
+            spec: ScenarioSpec::new(
+                "w1_80_160h",
+                FabricSpec::MultiTor { hosts: 160 },
+                Workload::W1,
+                0.8,
+                100_000 / scale,
+                SEED,
+            )
+            .with_engine(engine),
+            min_delivered_frac: 0.99,
         },
         // The memory-lean scale target: 1024 hosts on a k=16 fat tree,
         // same W4 @ 80% shape, with a message budget (~30 msgs/host)

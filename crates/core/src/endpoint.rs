@@ -302,8 +302,7 @@ impl HomaEndpoint {
         }
 
         let mut grants: Vec<(PeerId, GrantHeader)> = Vec::new();
-        let delivered =
-            self.receiver.on_data(now, from, &hdr, &self.local_map.clone(), &mut grants);
+        let delivered = self.receiver.on_data(now, from, &hdr, &self.local_map, &mut grants);
         for (dst, mut g) in grants {
             // Piggyback our cutoff allocation on grants to peers that have
             // not seen the current version (§3.4 dissemination).
@@ -409,13 +408,7 @@ impl HomaEndpoint {
         let mut resends: Vec<(PeerId, ResendHeader)> = Vec::new();
         let mut aborts: Vec<InboundAbort> = Vec::new();
         let mut grants: Vec<(PeerId, GrantHeader)> = Vec::new();
-        self.receiver.timer_tick(
-            now,
-            &self.local_map.clone(),
-            &mut resends,
-            &mut aborts,
-            &mut grants,
-        );
+        self.receiver.timer_tick(now, &self.local_map, &mut resends, &mut aborts, &mut grants);
         for (dst, r) in resends {
             self.resends_sent += 1;
             self.ctrl.push_back((dst, HomaPacket::Resend(r)));
@@ -492,9 +485,6 @@ impl HomaEndpoint {
         // learned about) and responses whose client has gone silent.
         for (dst, tag) in self.sender.poke_stalled(now) {
             self.events.push(HomaEvent::OutboundAborted { dst, tag });
-        }
-        if self.sender.has_transmittable() && self.ctrl.is_empty() {
-            // A poke queued a retransmission; surfaced via has_pending_tx.
         }
 
         // Dynamic cutoff refresh (§3.4): recompute from observed traffic

@@ -7,6 +7,16 @@
 //! ranges (answered with BUSY when the sender is occupied with
 //! higher-priority messages, so the peer doesn't time out).
 //!
+//! Packet selection never scans the held state. An ordered index holds
+//! the SRPT rank `(remaining, created_at, key)` of every held message that
+//! is currently transmittable, and of no other; the lowest rank is the
+//! next message to serve. Every change to a held message goes through one
+//! helper that takes the old rank out of the index, applies the change,
+//! and puts the new rank back if the message is still transmittable;
+//! dropping a message (or replacing it under the same key) takes its rank
+//! out first. The index so stays exact however much fully-sent state is
+//! retained, and per-packet work no longer grows with it.
+//!
 //! State lifecycle follows §3.8: response messages are discarded the
 //! moment their last byte is handed to the NIC (servers keep no state for
 //! completed RPCs); one-way messages linger briefly for retransmission;
@@ -18,7 +28,7 @@ use crate::messages::OutboundMessage;
 use crate::packets::{BusyHeader, DataHeader, Dir, MsgKey, PeerId};
 use crate::unsched::PriorityMap;
 use crate::Nanos;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// How the sender reacted to an incoming RESEND.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,11 +43,23 @@ pub enum ResendReaction {
     Unknown,
 }
 
+/// SRPT rank of a message: fewest remaining bytes first, then the oldest,
+/// then the lowest key (a total order, so selection is deterministic).
+type Rank = (u64, Nanos, MsgKey);
+
+fn rank(m: &OutboundMessage) -> Rank {
+    (m.remaining(), m.created_at, m.key)
+}
+
 /// Sender half of a Homa endpoint.
 #[derive(Debug)]
 pub struct SenderState {
     cfg: HomaConfig,
     msgs: HashMap<MsgKey, OutboundMessage>,
+    /// Rank of every message in `msgs` that is `transmittable()`, and of
+    /// no other. Maintained only by [`update`](Self::update) and
+    /// [`remove`](Self::remove).
+    ready: BTreeSet<Rank>,
     /// Fully-sent one-way messages kept around until `expire_at` so that
     /// late RESENDs can still be answered.
     linger: Vec<(MsgKey, Nanos)>,
@@ -46,7 +68,7 @@ pub struct SenderState {
 impl SenderState {
     /// New sender state.
     pub fn new(cfg: HomaConfig) -> Self {
-        SenderState { cfg, msgs: HashMap::new(), linger: Vec::new() }
+        SenderState { cfg, msgs: HashMap::new(), ready: BTreeSet::new(), linger: Vec::new() }
     }
 
     /// Number of messages with state held.
@@ -54,9 +76,34 @@ impl SenderState {
         self.msgs.len()
     }
 
+    /// Apply `change` to the message held under `key`, keeping the ready
+    /// index exact: the old rank leaves before the new one enters (the
+    /// index is untouched when the entry would not change). `None` when
+    /// no state is held for `key`.
+    fn update<R>(
+        &mut self,
+        key: MsgKey,
+        change: impl FnOnce(&mut OutboundMessage) -> R,
+    ) -> Option<R> {
+        let m = self.msgs.get_mut(&key)?;
+        let before = m.transmittable().then(|| rank(m));
+        let out = change(m);
+        let after = m.transmittable().then(|| rank(m));
+        if before != after {
+            if let Some(r) = before {
+                self.ready.remove(&r);
+            }
+            if let Some(r) = after {
+                self.ready.insert(r);
+            }
+        }
+        Some(out)
+    }
+
     /// Begin transmitting a message. `peer_map` supplies the receiver's
     /// unscheduled priority cutoffs (disseminated or statically
-    /// configured).
+    /// configured). A message already held under `key` (a response
+    /// restarted by RPC re-execution, §3.8) is replaced.
     #[allow(clippy::too_many_arguments)]
     pub fn start_message(
         &mut self,
@@ -85,24 +132,28 @@ impl SenderState {
             last_peer_activity: now,
             stall_pokes: 0,
         };
+        // The replaced message's rank must go before the new one goes in:
+        // a restart of the same length at the same instant has the same
+        // rank, and removing it afterwards would unindex the new message.
+        self.remove(key);
+        if msg.transmittable() {
+            self.ready.insert(rank(&msg));
+        }
         self.msgs.insert(key, msg);
     }
 
     /// Handle a GRANT: raise the transmission limit and adopt the
     /// receiver-assigned scheduled priority.
     pub fn on_grant(&mut self, now: Nanos, key: MsgKey, offset: u64, prio: u8) -> bool {
-        match self.msgs.get_mut(&key) {
-            Some(m) => {
-                if offset > m.granted {
-                    m.granted = offset.min(m.len);
-                }
-                m.sched_prio = prio;
-                m.last_peer_activity = now;
-                m.stall_pokes = 0;
-                true
+        self.update(key, |m| {
+            if offset > m.granted {
+                m.granted = offset.min(m.len);
             }
-            None => false,
-        }
+            m.sched_prio = prio;
+            m.last_peer_activity = now;
+            m.stall_pokes = 0;
+        })
+        .is_some()
     }
 
     /// Sender-side stall recovery for messages whose receiver has gone
@@ -128,84 +179,76 @@ impl SenderState {
         let mut keys: Vec<MsgKey> = self.msgs.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
-            let m = self.msgs.get_mut(&key).expect("key just collected");
-            if m.key.dir == Dir::Request || m.fully_sent() || m.transmittable() {
+            let m = &self.msgs[&key];
+            if key.dir == Dir::Request || m.fully_sent() || m.transmittable() {
                 continue;
             }
             if now.saturating_sub(m.last_peer_activity) < interval {
                 continue;
             }
             if m.stall_pokes >= limit {
-                dead.push(m.key);
+                dead.push(key);
                 abandoned.push((m.dst, m.tag));
                 continue;
             }
-            m.stall_pokes += 1;
-            m.last_peer_activity = now;
-            if m.key.dir == Dir::Oneway {
-                m.queue_retx(0, payload.min(m.len));
-            }
+            self.update(key, |m| {
+                m.stall_pokes += 1;
+                m.last_peer_activity = now;
+                if key.dir == Dir::Oneway {
+                    m.queue_retx(0, payload.min(m.len));
+                }
+            });
         }
         for k in dead {
-            self.msgs.remove(&k);
+            self.remove(k);
         }
         abandoned
     }
 
     /// Handle a RESEND for one of our outbound messages.
     pub fn on_resend(&mut self, key: MsgKey, offset: u64, length: u64, prio: u8) -> ResendReaction {
-        let shortest_other = self
-            .msgs
-            .values()
-            .filter(|m| m.key != key && m.transmittable())
-            .map(|m| m.remaining())
-            .min();
-        match self.msgs.get_mut(&key) {
-            Some(m) => {
-                // Also treat the RESEND as an implicit grant: the receiver
-                // must have been expecting these bytes.
-                if offset + length > m.granted {
-                    m.granted = (offset + length).min(m.len);
-                }
-                m.sched_prio = prio;
-                m.queue_retx(offset, length);
-                match shortest_other {
-                    Some(r) if r < m.remaining() => {
-                        ResendReaction::QueuedButBusy(BusyHeader { key })
-                    }
-                    _ => ResendReaction::Queued,
-                }
+        let shortest_other = self.ready.iter().find(|r| r.2 != key).map(|r| r.0);
+        self.update(key, |m| {
+            // Also treat the RESEND as an implicit grant: the receiver
+            // must have been expecting these bytes.
+            if offset + length > m.granted {
+                m.granted = (offset + length).min(m.len);
             }
-            None => ResendReaction::Unknown,
-        }
+            m.sched_prio = prio;
+            m.queue_retx(offset, length);
+            match shortest_other {
+                Some(r) if r < m.remaining() => ResendReaction::QueuedButBusy(BusyHeader { key }),
+                _ => ResendReaction::Queued,
+            }
+        })
+        .unwrap_or(ResendReaction::Unknown)
     }
 
     /// SRPT packet selection: produce the next DATA packet for the wire,
     /// or `None` when nothing is transmittable.
     pub fn next_data_packet(&mut self, now: Nanos) -> Option<(PeerId, DataHeader)> {
-        let key = self
-            .msgs
-            .values()
-            .filter(|m| m.transmittable())
-            .min_by_key(|m| (m.remaining(), m.created_at, m.key))?
-            .key;
+        let &(_, _, key) = self.ready.first()?;
         let max_payload = self.cfg.max_payload;
-        let m = self.msgs.get_mut(&key).expect("selected message exists");
-        let (offset, payload, retransmit) = m.next_chunk(max_payload).expect("transmittable");
-        let unscheduled = offset < m.unsched_limit && !retransmit;
-        let hdr = DataHeader {
-            key,
-            msg_len: m.len,
-            offset,
-            payload,
-            prio: if unscheduled { m.unsched_prio } else { m.sched_prio },
-            unscheduled,
-            retransmit,
-            incast_mark: m.incast_mark,
-            tag: m.tag,
-        };
-        let dst = m.dst;
-        if m.fully_sent() {
+        let (dst, hdr, done) = self
+            .update(key, |m| {
+                let (offset, payload, retransmit) =
+                    m.next_chunk(max_payload).expect("transmittable");
+                let unscheduled = offset < m.unsched_limit && !retransmit;
+                let hdr = DataHeader {
+                    key,
+                    msg_len: m.len,
+                    offset,
+                    payload,
+                    prio: if unscheduled { m.unsched_prio } else { m.sched_prio },
+                    unscheduled,
+                    retransmit,
+                    incast_mark: m.incast_mark,
+                    tag: m.tag,
+                };
+                (m.dst, hdr, m.fully_sent())
+            })
+            .expect("ready message is held");
+        if done {
             self.on_fully_sent(now, key);
         }
         Some((dst, hdr))
@@ -218,9 +261,7 @@ impl SenderState {
             // Servers discard all RPC state as soon as the response is
             // fully transmitted; a later RESEND for it is treated as an
             // unknown message (and triggers re-execution upstream).
-            Dir::Response => {
-                self.msgs.remove(&key);
-            }
+            Dir::Response => self.remove(key),
             // One-way messages linger for late retransmissions, bounded
             // by a few resend intervals.
             Dir::Oneway => {
@@ -233,10 +274,14 @@ impl SenderState {
         }
     }
 
-    /// Remove a message (used by the RPC layer when a response arrives,
-    /// or on abort).
+    /// Remove a message and its rank (used by the RPC layer when a
+    /// response arrives, or on abort).
     pub fn remove(&mut self, key: MsgKey) {
-        self.msgs.remove(&key);
+        if let Some(m) = self.msgs.remove(&key) {
+            if m.transmittable() {
+                self.ready.remove(&rank(&m));
+            }
+        }
     }
 
     /// Whether the sender holds state for `key`.
@@ -251,7 +296,7 @@ impl SenderState {
 
     /// Whether any message currently has transmittable bytes.
     pub fn has_transmittable(&self) -> bool {
-        self.msgs.values().any(|m| m.transmittable())
+        !self.ready.is_empty()
     }
 
     /// Snapshot of outbound messages:
@@ -268,7 +313,7 @@ impl SenderState {
             if at <= now {
                 // Only drop if no retransmission was queued meanwhile.
                 if self.msgs.get(&key).is_none_or(|m| m.fully_sent()) {
-                    self.msgs.remove(&key);
+                    self.remove(key);
                 }
                 self.linger.swap_remove(i);
             } else {
@@ -446,5 +491,142 @@ mod tests {
         // Equal remaining and equal creation time: lower key wins.
         let (_, hdr) = s.next_data_packet(0).unwrap();
         assert_eq!(hdr.key, key(1));
+    }
+
+    #[test]
+    fn restart_with_same_rank_stays_transmittable() {
+        // RPC re-execution (§3.8) restarts a response under its old key.
+        // Same length, same instant, nothing sent yet: the new message's
+        // rank equals the replaced one's.
+        let mut s = sender();
+        let rk = MsgKey { origin: PeerId(9), seq: 1, dir: Dir::Response };
+        s.start_message(0, rk, PeerId(9), 1_000, 1, false, &map());
+        s.start_message(0, rk, PeerId(9), 1_000, 2, false, &map());
+        assert!(s.has_transmittable());
+        let (_, hdr) = s.next_data_packet(0).expect("restarted response is sent");
+        assert_eq!((hdr.key, hdr.tag), (rk, 2));
+        assert!(!s.has_transmittable());
+    }
+
+    #[test]
+    fn restart_of_partly_sent_message_drops_its_old_rank() {
+        let mut s = sender();
+        s.start_message(0, key(1), PeerId(1), 9_000, 0, false, &map());
+        let _ = s.next_data_packet(0).unwrap();
+        s.start_message(5, key(1), PeerId(1), 300, 0, false, &map());
+        let (_, hdr) = s.next_data_packet(5).unwrap();
+        assert_eq!((hdr.offset, hdr.payload), (0, 300));
+        assert!(s.next_data_packet(5).is_none(), "replaced message left no rank behind");
+    }
+
+    /// The SRPT choice as a full scan of the held state: the reference
+    /// the ready index must agree with.
+    fn scan_pick(s: &SenderState) -> Option<MsgKey> {
+        s.msgs
+            .values()
+            .filter(|m| m.transmittable())
+            .min_by_key(|m| (m.remaining(), m.created_at, m.key))
+            .map(|m| m.key)
+    }
+
+    /// Fewest remaining bytes among transmittable messages other than
+    /// `key`, by full scan (the reference for the BUSY decision).
+    fn scan_shortest_other(s: &SenderState, key: MsgKey) -> Option<u64> {
+        s.msgs.values().filter(|m| m.key != key && m.transmittable()).map(|m| m.remaining()).min()
+    }
+
+    /// SplitMix64 step.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A key from a small key space, so starts often restart a held key.
+    fn random_key(rng: &mut u64) -> MsgKey {
+        let dir = [Dir::Oneway, Dir::Response, Dir::Request][(next(rng) % 3) as usize];
+        MsgKey { origin: PeerId(0), seq: next(rng) % 6, dir }
+    }
+
+    #[test]
+    fn ready_index_matches_full_scan() {
+        let interval = HomaConfig::default().resend_interval_ns;
+        for seed in 0..300u64 {
+            let mut rng = seed;
+            let mut s = sender();
+            let mut now: Nanos = 0;
+            for step in 0..80 {
+                let k = random_key(&mut rng);
+                let ctx = format!("seed {seed} step {step}");
+                match next(&mut rng) % 10 {
+                    0 | 1 => {
+                        let len = match next(&mut rng) % 4 {
+                            0 => next(&mut rng) % 1_500,
+                            1 => next(&mut rng) % 12_000,
+                            2 => next(&mut rng) % 40_000,
+                            _ => 0,
+                        };
+                        let incast = next(&mut rng) % 4 == 0;
+                        s.start_message(now, k, PeerId(1), len, step, incast, &map());
+                    }
+                    2 => {
+                        // Restart a held message with its own length and
+                        // creation time: an unsent one keeps its rank.
+                        let mut held: Vec<MsgKey> = s.msgs.keys().copied().collect();
+                        held.sort_unstable();
+                        if !held.is_empty() {
+                            let k = held[(next(&mut rng) % held.len() as u64) as usize];
+                            let (at, len) = (s.msgs[&k].created_at, s.msgs[&k].len);
+                            s.start_message(at, k, PeerId(1), len, step, false, &map());
+                        }
+                    }
+                    3 => {
+                        let offset = next(&mut rng) % 45_000;
+                        let prio = (next(&mut rng) % 4) as u8;
+                        assert_eq!(s.on_grant(now, k, offset, prio), s.contains(k), "{ctx}");
+                    }
+                    4 => {
+                        let other = scan_shortest_other(&s, k);
+                        let offset = next(&mut rng) % 20_000;
+                        let length = 1 + next(&mut rng) % 3_000;
+                        let got = s.on_resend(k, offset, length, 1);
+                        let want = match s.get(k) {
+                            None => ResendReaction::Unknown,
+                            Some(m) => match other {
+                                Some(r) if r < m.remaining() => {
+                                    ResendReaction::QueuedButBusy(BusyHeader { key: k })
+                                }
+                                _ => ResendReaction::Queued,
+                            },
+                        };
+                        assert_eq!(got, want, "{ctx}");
+                    }
+                    5..=7 => {
+                        let want = scan_pick(&s);
+                        let got = s.next_data_packet(now).map(|(_, hdr)| hdr.key);
+                        assert_eq!(got, want, "{ctx}");
+                    }
+                    8 => {
+                        let _ = s.poke_stalled(now);
+                        s.expire_lingering(now);
+                    }
+                    _ => s.remove(k),
+                }
+                now += next(&mut rng) % interval;
+                // After every op: the index holds exactly the ranks of the
+                // transmittable messages, so its head is the scan's choice.
+                let want: BTreeSet<Rank> =
+                    s.msgs.values().filter(|m| m.transmittable()).map(rank).collect();
+                assert_eq!(s.ready, want, "{ctx}");
+                assert_eq!(s.ready.first().map(|r| r.2), scan_pick(&s), "{ctx}");
+                assert_eq!(
+                    s.has_transmittable(),
+                    s.msgs.values().any(|m| m.transmittable()),
+                    "{ctx}"
+                );
+            }
+        }
     }
 }
