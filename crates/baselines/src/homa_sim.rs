@@ -337,7 +337,7 @@ mod tests {
         // Drive; server echoes via the driver when the request arrives.
         let mut done = false;
         for _ in 0..100 {
-            net.run_next_before(SimTime::from_millis(5));
+            net.run_until_app_event(SimTime::from_millis(5));
             for (_, host, ev) in net.take_app_events() {
                 match ev {
                     AppEvent::RpcRequestArrived { client, rpc, request_len } => {

@@ -387,11 +387,12 @@ where
     }
     let inject_end = net.now();
 
-    // Drain phase. `run_next_before` advances through one event batch
-    // per iteration with a single queue probe (no peek-then-pop pair).
+    // Drain phase. Each step runs until application events are pending
+    // (finishing that timestamp batch), so only batches that deliver
+    // something come back here.
     let deadline = inject_end + opts.drain;
     while !pending.is_empty() && net.now() < deadline {
-        if net.run_next_before(deadline).is_none() {
+        if net.run_until_app_event(deadline).events == 0 {
             break;
         }
         handle_events(
@@ -586,7 +587,7 @@ where
     }
     let deadline = net.now() + opts.drain;
     while !pending.is_empty() && net.now() < deadline {
-        if net.run_next_before(deadline).is_none() {
+        if net.run_until_app_event(deadline).events == 0 {
             break;
         }
         process(&mut net, &mut pending, &mut records, &mut completed, &mut aborted);
@@ -688,7 +689,7 @@ where
         }
         let deadline = net.now() + opts.per_round_timeout;
         while !outstanding.is_empty() && net.now() < deadline {
-            if net.run_next_before(deadline).is_none() {
+            if net.run_until_app_event(deadline).events == 0 {
                 break;
             }
             for (_, host, ev) in net.take_app_events() {

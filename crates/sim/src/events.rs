@@ -35,6 +35,18 @@
 //! `(time, seq)` key, a simulation pops the *bit-identical* event
 //! sequence from either of them; `tests/determinism.rs` in the workspace
 //! root proves this end-to-end.
+//!
+//! ## Entry size
+//!
+//! An entry is the 16-byte `(time, seq)` key plus the payload, and the
+//! engines move whole entries: into a ring bucket on push, around the
+//! bucket during its epoch sort, through the late and far heaps' sift
+//! steps, and out on pop. The cost of all four grows with the entry, and
+//! so does the memory the 4096 ring buckets pin at their high-water
+//! capacity. [`crate::Network`] therefore keeps its payload at 16 bytes
+//! (32-byte entries): a packet crossing a link waits in the network's
+//! packet slab and the event carries only its `u32` handle, and a fault
+//! event carries only an index into the installed fault table.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;

@@ -19,6 +19,28 @@
 //!    software delay elapses and the receiving transport's `on_packet`
 //!    runs.
 //!
+//! ## Packet ownership
+//!
+//! A packet has exactly one owner at a time:
+//!
+//! * its transport, until `next_packet` hands it to the host NIC;
+//! * a [`PortQueue`] while it waits, and the port's `sending` slot
+//!   while it serializes;
+//! * the network's private `PacketSlab` while it crosses a link and the
+//!   next hop's internal or software delay. `on_tx_done` *parks* it
+//!   there and schedules the arrival event with the slot's
+//!   `PacketHandle`; dispatching that event *takes* it back out, which
+//!   frees the slot. A `SwitchArrive` whose egress link is down
+//!   releases the slot instead (the packet is lost), and a
+//!   `HostDeliver` to a paused receiver keeps the packet parked, its
+//!   handle queued in the host's pause buffer until `ResumeRx` takes it.
+//!
+//! Events therefore carry a 4-byte handle, never the packet itself, so
+//! the engine moves 32-byte entries through every push, epoch sort and
+//! pop (see [`crate::events`]). Handles are opaque and recycled LIFO;
+//! they never reach a trace or a statistic, so which slot a packet
+//! occupies cannot change a run.
+//!
 //! ## State partitioning
 //!
 //! Fabric state is partitioned into *groups*: one `RackState` per rack
@@ -92,17 +114,81 @@ impl NetworkConfig {
     }
 }
 
-enum Ev<M> {
+/// A fabric event. Packets and faults are named by index into the
+/// network's side tables (the packet slab and the installed fault
+/// list), so every variant fits in 16 bytes.
+enum Ev {
     /// A port finished serializing its current packet.
     TxDone { node: NodeId, port: u32 },
     /// A packet fully arrived at a switch (post internal delay).
-    SwitchArrive { node: NodeId, pkt: Packet<M> },
+    SwitchArrive { node: NodeId, pkt: PacketHandle },
     /// A packet is delivered to a host transport (post software delay).
-    HostDeliver { host: HostId, pkt: Packet<M> },
+    HostDeliver { host: HostId, pkt: PacketHandle },
     /// A transport timer fired.
     Timer { host: HostId, token: TimerToken },
-    /// A scheduled fault takes effect (see [`crate::faults`]).
-    Fault { node: NodeId, port: u32, action: FaultAction },
+    /// A scheduled fault takes effect: entry `idx` of the fault table
+    /// that [`Network::install_faults`] fills (see [`crate::faults`]).
+    Fault { idx: u32 },
+}
+
+/// One fault action resolved to the egress port it acts on.
+type FaultEntry = (NodeId, u32, FaultAction);
+
+/// Names a packet parked in a [`PacketSlab`].
+#[derive(Clone, Copy)]
+struct PacketHandle(u32);
+
+/// Storage for packets between a port's `TxDone` and the dispatch of the
+/// arrival event it schedules (see "Packet ownership" above). Freed
+/// slots are reused last-in first-out, so the live set stays small and
+/// cache-warm.
+struct PacketSlab<M> {
+    slots: Vec<Option<Packet<M>>>,
+    free: Vec<u32>,
+}
+
+impl<M> PacketSlab<M> {
+    fn new() -> Self {
+        PacketSlab { slots: Vec::new(), free: Vec::new() }
+    }
+
+    /// Take ownership of `pkt` until its handle is taken or released.
+    fn park(&mut self, pkt: Packet<M>) -> PacketHandle {
+        match self.free.pop() {
+            Some(i) => {
+                debug_assert!(self.slots[i as usize].is_none(), "free slot still occupied");
+                self.slots[i as usize] = Some(pkt);
+                PacketHandle(i)
+            }
+            None => {
+                let i = u32::try_from(self.slots.len()).expect("more than u32::MAX parked packets");
+                self.slots.push(Some(pkt));
+                PacketHandle(i)
+            }
+        }
+    }
+
+    fn get(&self, h: PacketHandle) -> &Packet<M> {
+        self.slots[h.0 as usize].as_ref().expect("packet handle already taken")
+    }
+
+    /// Hand the packet back and free its slot.
+    fn take(&mut self, h: PacketHandle) -> Packet<M> {
+        let pkt = self.slots[h.0 as usize].take().expect("packet handle already taken");
+        self.free.push(h.0);
+        pkt
+    }
+
+    /// Drop the packet (it is lost in the fabric) and free its slot.
+    fn release(&mut self, h: PacketHandle) {
+        self.take(h);
+    }
+
+    /// Packets currently parked.
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 /// A [`Fault`] resolved against the topology at install time.
@@ -194,8 +280,9 @@ struct RackState<M, T> {
     host_ports: Vec<Port<M>>,
     /// Receiver-pause flags, parallel to `transports`.
     paused: Vec<bool>,
-    /// Packets buffered while paused (delivered in order on resume).
-    pause_bufs: Vec<Vec<Packet<M>>>,
+    /// Packets deferred while paused, still parked in the packet slab
+    /// (delivered in order on resume).
+    pause_bufs: Vec<Vec<PacketHandle>>,
     tor: SwitchNode<M>,
     /// Reusable transport-callback action buffer.
     scratch: TransportActions,
@@ -266,25 +353,26 @@ fn group_of_node(topo: &Topology, node: NodeId) -> usize {
     }
 }
 
-fn group_of_ev<M>(topo: &Topology, ev: &Ev<M>) -> usize {
+fn group_of_ev(topo: &Topology, faults: &[FaultEntry], ev: &Ev) -> usize {
     match ev {
-        Ev::TxDone { node, .. } | Ev::SwitchArrive { node, .. } | Ev::Fault { node, .. } => {
-            group_of_node(topo, *node)
-        }
+        Ev::TxDone { node, .. } | Ev::SwitchArrive { node, .. } => group_of_node(topo, *node),
+        Ev::Fault { idx } => group_of_node(topo, faults[*idx as usize].0),
         Ev::HostDeliver { host, .. } | Ev::Timer { host, .. } => topo.rack_of(*host) as usize,
     }
 }
 
 /// Where dispatch side effects go: straight into the event queue, the
-/// app-event log, and (when installed) the flight recorder.
+/// app-event log, and (when installed) the flight recorder. It also
+/// reaches the packet slab, where packets wait between hops.
 struct DirectSink<'a, M: PacketMeta> {
-    queue: &'a mut EventEngine<Ev<M>>,
+    queue: &'a mut EventEngine<Ev>,
+    packets: &'a mut PacketSlab<M>,
     app_events: &'a mut Vec<(SimTime, HostId, AppEvent)>,
     tracer: Option<&'a mut FlightRecorder>,
 }
 
 impl<M: PacketMeta> DirectSink<'_, M> {
-    fn schedule(&mut self, at: SimTime, ev: Ev<M>) {
+    fn schedule(&mut self, at: SimTime, ev: Ev) {
         self.queue.schedule(at, ev);
     }
 
@@ -311,9 +399,10 @@ impl<M: PacketMeta> DirectSink<'_, M> {
 
 fn dispatch_event<M: PacketMeta, T: Transport<M>>(
     topo: &Topology,
+    faults: &[FaultEntry],
     g: &mut GroupMut<'_, M, T>,
     now: SimTime,
-    ev: Ev<M>,
+    ev: Ev,
     rng: &mut StdRng,
     sink: &mut DirectSink<'_, M>,
 ) {
@@ -324,13 +413,18 @@ fn dispatch_event<M: PacketMeta, T: Transport<M>>(
             let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
             let i = rack.slot(host);
             if rack.paused[i] {
+                // The packet stays parked until the receiver resumes.
                 rack.pause_bufs[i].push(pkt);
                 rack.counters.deferred_deliveries += 1;
                 return;
             }
+            let pkt = sink.packets.take(pkt);
             deliver_to_host(rack, topo, now, host, pkt, sink);
         }
-        Ev::Fault { node, port, action } => apply_fault(topo, g, now, node, port, action, sink),
+        Ev::Fault { idx } => {
+            let (node, port, action) = faults[idx as usize];
+            apply_fault(topo, g, now, node, port, action, sink);
+        }
         Ev::Timer { host, token } => {
             let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
             let mut act = std::mem::take(&mut rack.scratch);
@@ -513,7 +607,9 @@ fn on_tx_done<M: PacketMeta, T: Transport<M>>(
         (pkt, port.peer)
     };
 
-    // Deliver to the peer.
+    // Deliver to the peer: the packet waits out the link and the next
+    // hop's delay parked in the slab.
+    let pkt = sink.packets.park(pkt);
     match peer {
         NodeId::Host(h) => {
             let at = now + prop_delay + host_sw_delay;
@@ -599,31 +695,29 @@ fn on_switch_arrive<M: PacketMeta, T: Transport<M>>(
     g: &mut GroupMut<'_, M, T>,
     now: SimTime,
     node: NodeId,
-    mut pkt: Packet<M>,
+    handle: PacketHandle,
     rng: &mut StdRng,
     sink: &mut DirectSink<'_, M>,
 ) {
-    let port_idx = route(topo, g, rng, node, pkt.src, pkt.dst);
+    let (src, dst) = {
+        let pkt = sink.packets.get(handle);
+        (pkt.src, pkt.dst)
+    };
+    let port_idx = route(topo, g, rng, node, src, dst);
 
     // Link-state check: packets routed to a downed egress are lost
     // (the switch has nowhere to forward them); transports recover
     // via their own retransmission machinery.
     if !g.port_mut(node, port_idx).up {
         if sink.tracing() {
-            sink.trace(
-                now,
-                TraceEvent::FaultDrop {
-                    node,
-                    port: port_idx,
-                    src: pkt.src,
-                    dst: pkt.dst,
-                    prio: pkt.priority(),
-                },
-            );
+            let prio = sink.packets.get(handle).priority();
+            sink.trace(now, TraceEvent::FaultDrop { node, port: port_idx, src, dst, prio });
         }
+        sink.packets.release(handle);
         g.counters_mut().fault_drops += 1;
         return;
     }
+    let mut pkt = sink.packets.take(handle);
     let port = g.port_mut(node, port_idx);
 
     // Hot-path bypass: an idle port with an empty queue transmits the
@@ -658,10 +752,14 @@ fn on_switch_arrive<M: PacketMeta, T: Transport<M>>(
         }
     }
 
-    let in_flight = port.in_flight_view().map(|(m, t)| (m.clone(), t));
-    let (src, dst, prio) = (pkt.src, pkt.dst, pkt.priority());
+    let prio = pkt.priority();
     let qbytes_before = port.queue.bytes();
-    let outcome = port.queue.enqueue(now, pkt, in_flight.as_ref().map(|(m, t)| (m, *t)));
+    // The in-flight packet's metadata is borrowed beside the queue: a
+    // clone would allocate for metadata that owns heap data, such as a
+    // grant carrying new cutoffs.
+    let Port { queue, sending, .. } = &mut *port;
+    let in_flight = sending.as_ref().map(|(p, t)| (&p.meta, *t));
+    let outcome = queue.enqueue(now, pkt, in_flight);
     if sink.tracing() {
         sink.trace(
             now,
@@ -740,11 +838,12 @@ fn apply_fault<M: PacketMeta, T: Transport<M>>(
             let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
             let i = rack.slot(h);
             rack.paused[i] = false;
-            // Deliver everything buffered while paused, in arrival
+            // Deliver everything parked while paused, in arrival
             // order, at the resume instant. The buffer is swapped back
             // after draining so its allocation is reused next pause.
             let mut buf = std::mem::take(&mut rack.pause_bufs[i]);
-            for pkt in buf.drain(..) {
+            for parked in buf.drain(..) {
+                let pkt = sink.packets.take(parked);
                 deliver_to_host(rack, topo, now, h, pkt, sink);
             }
             rack.pause_bufs[i] = buf;
@@ -752,7 +851,7 @@ fn apply_fault<M: PacketMeta, T: Transport<M>>(
     }
 }
 
-/// Summary of one `run_until` call.
+/// Summary of one `run_*` call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepOutput {
     /// Number of events processed.
@@ -766,8 +865,8 @@ pub struct StepOutput {
 /// produce results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineProfile {
-    /// `run_until`/`run_to_quiescence` calls that dispatched at least
-    /// one event, each timed as one sample.
+    /// `run_*` calls that dispatched at least one event, each timed as
+    /// one sample.
     pub samples: u64,
     /// Nanoseconds inside those calls' dispatch loops.
     pub dispatch_ns: u64,
@@ -782,7 +881,11 @@ pub struct Network<M: PacketMeta, T: Transport<M>> {
     topo: Topology,
     cfg: NetworkConfig,
     now: SimTime,
-    queue: EventEngine<Ev<M>>,
+    queue: EventEngine<Ev>,
+    /// Packets between hops, named by the events that carry them.
+    packets: PacketSlab<M>,
+    /// Installed fault actions, named by index from `Ev::Fault`.
+    faults: Vec<FaultEntry>,
     racks: Vec<RackState<M, T>>,
     spine: SpineState<M>,
     rng: StdRng,
@@ -928,6 +1031,8 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         let queue = EventEngine::with_bucket_width(cfg.engine, width_ns);
         Network {
             queue,
+            packets: PacketSlab::new(),
+            faults: Vec::new(),
             topo,
             cfg,
             now: topology::T0,
@@ -1007,9 +1112,9 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
             let i = rack.slot(h);
             f(&mut rack.transports[i], now, &mut act)
         };
-        let Self { topo, racks, queue, app_events, tracer, .. } = self;
+        let Self { topo, racks, queue, packets, app_events, tracer, .. } = self;
         let rack = &mut racks[topo.rack_of(h) as usize];
-        let mut sink = DirectSink { queue, app_events, tracer: tracer.as_mut() };
+        let mut sink = DirectSink { queue, packets, app_events, tracer: tracer.as_mut() };
         apply_actions(rack, topo, now, h, act, &mut sink);
         r
     }
@@ -1038,23 +1143,23 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         });
     }
 
-    fn dispatch_direct(&mut self, ev: Ev<M>) {
+    fn dispatch_direct(&mut self, ev: Ev) {
         let now = self.now;
-        let Self { topo, racks, spine, queue, rng, app_events, tracer, .. } = self;
-        let gidx = group_of_ev(topo, &ev);
+        let Self { topo, racks, spine, queue, packets, faults, rng, app_events, tracer, .. } = self;
+        let gidx = group_of_ev(topo, faults, &ev);
         let mut gm = if gidx < racks.len() {
             GroupMut::Rack(&mut racks[gidx])
         } else {
             GroupMut::Spine(spine)
         };
-        let mut sink = DirectSink { queue, app_events, tracer: tracer.as_mut() };
-        dispatch_event(topo, &mut gm, now, ev, rng, &mut sink);
+        let mut sink = DirectSink { queue, packets, app_events, tracer: tracer.as_mut() };
+        dispatch_event(topo, faults, &mut gm, now, ev, rng, &mut sink);
     }
 
     /// Process all events up to and including time `t`, then advance the
     /// clock to `t`.
     pub fn run_until(&mut self, t: SimTime) -> StepOutput {
-        let out = self.drive_events(t);
+        let out = self.drive_events(t, false);
         if t > self.now {
             self.now = t;
         }
@@ -1066,21 +1171,42 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     /// [`run_until`](Self::run_until), the clock is left at the last
     /// dispatched event rather than advanced to `limit`.
     pub fn run_to_quiescence(&mut self, limit: SimTime) -> StepOutput {
-        self.drive_events(limit)
+        self.drive_events(limit, false)
     }
 
-    /// Dispatch every event at or before `limit` — the one loop
-    /// `run_until` and `run_to_quiescence` share.
-    fn drive_events(&mut self, limit: SimTime) -> StepOutput {
+    /// Dispatch events at or before `limit` until application events are
+    /// pending, finishing the timestamp batch that produced them: every
+    /// event at that instant, including ones dispatched there that land
+    /// at the same instant, runs before the call returns. The experiment
+    /// drivers step with this, so a reaction they inject (an RPC
+    /// response, say) starts at exactly the instant it would if they
+    /// had stepped one timestamp at a time. Like
+    /// [`run_to_quiescence`](Self::run_to_quiescence), the clock is left
+    /// at the last dispatched event, never advanced to `limit`; a call
+    /// that finds nothing pending in the window returns zero events and
+    /// leaves the clock alone.
+    pub fn run_until_app_event(&mut self, limit: SimTime) -> StepOutput {
+        self.drive_events(limit, true)
+    }
+
+    /// Dispatch every event at or before `limit` — the one loop every
+    /// `run_*` method shares. With `stop_at_app_event`, the bound drops
+    /// to the current instant as soon as an application event is
+    /// pending, so the loop ends with that timestamp batch.
+    fn drive_events(&mut self, limit: SimTime, stop_at_app_event: bool) -> StepOutput {
         let mut out = StepOutput::default();
         #[cfg(feature = "engine-profile")]
         let t0 = std::time::Instant::now();
-        while let Some((at, ev)) = self.queue.pop_if_before(limit) {
+        let mut bound = limit;
+        while let Some((at, ev)) = self.queue.pop_if_before(bound) {
             debug_assert!(at >= self.now, "event in the past");
             self.now = at;
             self.dispatch_direct(ev);
             out.events += 1;
             self.events_processed += 1;
+            if stop_at_app_event && !self.app_events.is_empty() {
+                bound = at;
+            }
         }
         #[cfg(feature = "engine-profile")]
         if out.events > 0 {
@@ -1088,27 +1214,6 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
             self.profile.dispatch_ns += t0.elapsed().as_nanos() as u64;
         }
         out
-    }
-
-    /// Process the next pending event *batch* — every event at the
-    /// earliest pending timestamp at or before `limit`, plus anything
-    /// dispatched there that lands at the same instant — and return that
-    /// timestamp (`now` afterwards). One queue probe replaces the
-    /// `next_event_time`-then-`run_until` pair the experiment drivers
-    /// used to do; returns `None` (leaving `now` untouched) when nothing
-    /// is pending in the window.
-    pub fn run_next_before(&mut self, limit: SimTime) -> Option<SimTime> {
-        let (at, ev) = self.queue.pop_if_before(limit)?;
-        self.now = at;
-        self.dispatch_direct(ev);
-        self.events_processed += 1;
-        while let Some((at2, ev2)) = self.queue.pop_if_before(at) {
-            self.now = at2;
-            self.dispatch_direct(ev2);
-            self.events_processed += 1;
-        }
-        self.now = at;
-        Some(at)
     }
 
     /// Time of the next pending event, if any.
@@ -1176,8 +1281,10 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     pub fn install_faults(&mut self, plan: &FaultPlan) {
         for (at, fault) in plan.sorted_events() {
             assert!(at >= self.now, "fault scheduled in the past: {fault:?} at {at:?}");
-            for (node, port, action) in self.resolve_fault(fault) {
-                self.queue.schedule(at, Ev::Fault { node, port, action });
+            for entry in self.resolve_fault(fault) {
+                let idx = u32::try_from(self.faults.len()).expect("more than u32::MAX faults");
+                self.faults.push(entry);
+                self.queue.schedule(at, Ev::Fault { idx });
             }
         }
     }
@@ -1244,7 +1351,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
 
     /// Resolve a declarative fault against the topology, validating ids.
     /// Composite faults expand to one action per member link.
-    fn resolve_fault(&self, fault: Fault) -> Vec<(NodeId, u32, FaultAction)> {
+    fn resolve_fault(&self, fault: Fault) -> Vec<FaultEntry> {
         let link_port = |link: LinkId| -> (NodeId, u32) {
             match link {
                 LinkId::HostUplink(h) => {
@@ -1609,21 +1716,95 @@ mod tests {
     }
 
     #[test]
-    fn run_next_before_steps_one_timestamp() {
-        let mut net = simple_net(Topology::single_switch(4));
-        net.inject_message(HostId(0), HostId(1), 100, 1);
-        // First batch: the host uplink TxDone at 128ns.
-        let first = net.run_next_before(SimTime::from_millis(1)).expect("events pending");
-        assert_eq!(first.as_nanos(), 128);
-        assert_eq!(net.now(), first);
-        // Stepping drains the run eventually and then reports None.
-        let mut last = first;
-        while let Some(at) = net.run_next_before(SimTime::from_millis(1)) {
-            assert!(at >= last, "stepped backwards");
-            last = at;
+    fn events_are_sixteen_bytes() {
+        // The calendar engine moves each event on every push, epoch sort
+        // and pop; a 16-byte payload keeps its entries at 32 bytes.
+        assert!(size_of::<Ev>() <= 16, "Ev is {} bytes", size_of::<Ev>());
+    }
+
+    /// Run `net` until nothing is pending and check that every packet
+    /// parked between hops was taken back or released.
+    fn assert_nothing_parked(net: &mut Network<TestMeta, Echoless>) {
+        net.run_to_quiescence(SimTime::MAX);
+        assert_eq!(net.next_event_time(), None, "events still pending");
+        assert_eq!(net.packets.parked(), 0, "packets leaked in the slab");
+    }
+
+    /// Drive a ping-pong workload: each delivery is answered, at the
+    /// delivery instant, by a message back to its sender, until 40
+    /// replies are out. `step_per_app_event` chooses how the run is
+    /// stepped.
+    fn ping_pong(engine: EngineKind, step_per_app_event: bool) -> (Vec<String>, u64, SimTime) {
+        let cfg = NetworkConfig::default().with_engine(engine);
+        let mut net = Network::new(Topology::scaled_fabric(2, 4, 2), cfg, |h| Echoless {
+            me: h,
+            outbox: Default::default(),
+            delivered: 0,
+        });
+        for i in 0..8u32 {
+            net.inject_message(HostId(i), HostId((i + 3) % 8), 200 + i as u64 * 100, i as u64);
         }
-        assert_eq!(net.take_app_events().len(), 1);
-        assert_eq!(net.now(), last, "None leaves the clock at the last batch");
+        let limit = SimTime::from_millis(5);
+        let mut stream = Vec::new();
+        let mut replies = 0u64;
+        loop {
+            if step_per_app_event {
+                if net.run_until_app_event(limit).events == 0 {
+                    break;
+                }
+            } else {
+                match net.next_event_time() {
+                    // One timestamp batch: `run_to_quiescence` stops at
+                    // the first event after `t`.
+                    Some(t) if t <= limit => {
+                        net.run_to_quiescence(t);
+                    }
+                    _ => break,
+                }
+            }
+            for (at, host, ev) in net.take_app_events() {
+                stream.push(format!("{} {host} {ev:?}", at.as_nanos()));
+                if let AppEvent::MessageDelivered { src, tag, .. } = ev {
+                    if replies < 40 {
+                        net.inject_message(host, src, 100 + tag % 7 * 50, replies);
+                        replies += 1;
+                    }
+                }
+            }
+        }
+        (stream, net.events_processed(), net.now())
+    }
+
+    #[test]
+    fn stepping_per_app_event_matches_stepping_per_timestamp() {
+        let reference = ping_pong(EngineKind::LegacyHeap, false);
+        assert_eq!(reference.0.len(), 48, "8 pings and 40 replies: {:?}", reference.0);
+        for engine in [EngineKind::Hierarchical, EngineKind::LegacyHeap] {
+            assert_eq!(ping_pong(engine, true), reference, "{engine:?} per app event");
+            assert_eq!(ping_pong(engine, false), reference, "{engine:?} per timestamp");
+        }
+    }
+
+    #[test]
+    fn run_until_app_event_finishes_the_batch_and_keeps_the_clock() {
+        let mut net = simple_net(Topology::single_switch(4));
+        // Two disjoint flows of equal size deliver at the same instant;
+        // a later third one lands after them.
+        net.inject_message(HostId(0), HostId(1), 100, 1);
+        net.inject_message(HostId(2), HostId(3), 100, 2);
+        net.inject_message(HostId(1), HostId(0), 5_000, 3);
+        let limit = SimTime::from_millis(1);
+        assert!(net.run_until_app_event(limit).events > 0);
+        let batch = net.take_app_events();
+        assert_eq!(batch.len(), 2, "the delivering batch was cut short: {batch:?}");
+        assert_eq!(batch[0].0, batch[1].0);
+        assert_eq!(net.now(), batch[0].0, "clock left at the delivering batch");
+        assert!(net.run_until_app_event(limit).events > 0);
+        let later = net.take_app_events();
+        assert_eq!(later.len(), 1);
+        assert_eq!(net.now(), later[0].0);
+        assert_eq!(net.run_until_app_event(limit).events, 0);
+        assert_eq!(net.now(), later[0].0, "an empty window leaves the clock alone");
     }
 
     #[test]
@@ -1654,6 +1835,7 @@ mod tests {
         net.inject_message(HostId(0), HostId(2), 100, 4);
         net.run_until(SimTime::from_millis(2));
         assert_eq!(net.take_app_events().len(), 1);
+        assert_nothing_parked(&mut net);
     }
 
     #[test]
@@ -1690,6 +1872,7 @@ mod tests {
         }
         net.run_until(SimTime::from_micros(40));
         assert_eq!(net.take_app_events().len(), 0, "paused host processed packets");
+        assert_eq!(net.packets.parked(), 5, "deferred packets stay parked until resume");
         net.run_until(SimTime::from_millis(1));
         let evs = net.take_app_events();
         assert_eq!(evs.len(), 5);
@@ -1705,6 +1888,7 @@ mod tests {
         let stats = net.harvest_stats();
         assert_eq!(stats.deferred_deliveries, 5);
         assert_eq!(stats.faults_applied, 2);
+        assert_nothing_parked(&mut net);
     }
 
     #[test]
@@ -1822,6 +2006,7 @@ mod tests {
         let stats = net.harvest_stats();
         assert_eq!(stats.faults_applied, 12, "6 member links x down+up");
         assert!(stats.fault_drops >= 1);
+        assert_nothing_parked(&mut net);
     }
 
     #[test]

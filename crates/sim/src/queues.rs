@@ -441,7 +441,16 @@ impl<M: PacketMeta> PortQueue<M> {
         let outranks = |a: &Waiting<M>| {
             outranks_kind(kind, &a.pkt.meta, a.pkt.was_trimmed, &started.meta, started.was_trimmed)
         };
-        for q in self.levels.iter_mut() {
+        // Strict priority: a packet on a level below the started one's
+        // (clamped) level has a strictly lower raw priority, so it can
+        // never outrank it; only the levels from there up are scanned.
+        let first = match kind {
+            QueueKind::StrictPriority { levels } => {
+                started.priority().min(levels.max(1) - 1) as usize
+            }
+            _ => 0,
+        };
+        for q in self.levels.iter_mut().skip(first) {
             for w in q.iter_mut() {
                 if outranks(w) {
                     w.lag += dur;
@@ -726,6 +735,27 @@ mod tests {
         let lo = q.dequeue(t(500)).unwrap();
         assert_eq!(lo.delay.preemption_lag.as_nanos(), 0);
         assert_eq!(lo.delay.queueing.as_nanos(), 500);
+    }
+
+    #[test]
+    fn on_tx_start_checks_the_clamped_top_level_by_raw_priority() {
+        // Two levels: priorities 1..=7 all share level 1, so the level
+        // alone cannot decide preemption there.
+        let mut q: PortQueue<TestMeta> = PortQueue::new(QueueDiscipline {
+            kind: QueueKind::StrictPriority { levels: 2 },
+            cap_bytes: 1 << 20,
+            ecn: None,
+        });
+        q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 7)), None);
+        q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 2)), None);
+        q.enqueue(t(0), pkt(0, 1, TestMeta::data(100, 0)), None);
+        let started = pkt(0, 1, TestMeta::data(625, 5));
+        q.on_tx_start(&started, SimDuration::from_nanos(500));
+        let lags: Vec<u64> = std::iter::from_fn(|| q.dequeue(t(500)))
+            .map(|p| p.delay.preemption_lag.as_nanos())
+            .collect();
+        // Only the priority-7 waiter outranks the priority-5 transmission.
+        assert_eq!(lags, vec![500, 0, 0]);
     }
 
     #[test]

@@ -204,12 +204,12 @@ proptest! {
 
     #[test]
     fn window_boundaries_never_split_a_timestamp(
-        // Arbitrary traffic on a two-rack fabric, stepped one timestamp
-        // at a time on the calendar engine: every step must consume all
-        // events sharing that timestamp (strictly increasing step times
-        // — an epoch or step boundary never splits a same-timestamp
-        // cohort) and the per-step event counts must match the legacy
-        // heap exactly.
+        // Arbitrary traffic on a two-rack fabric, stepped one delivery
+        // batch at a time on the calendar engine: every step must
+        // consume all events sharing its final timestamp (strictly
+        // increasing step times — an epoch or step boundary never splits
+        // a same-timestamp cohort) and the per-step event and delivery
+        // counts must match the legacy heap exactly.
         msgs in proptest::collection::vec((0u32..16, 0u32..16, 100u64..5_000, 0u64..20), 1..30),
     ) {
         use homa_sim::{AppEvent, HostId, Network, TimerToken, Topology, Transport, TransportActions};
@@ -259,9 +259,10 @@ proptest! {
             let limit = net.now() + SimDuration::from_millis(5);
             let mut steps = Vec::new();
             let mut prev = net.events_processed();
-            while let Some(at) = net.run_next_before(limit) {
+            while net.run_until_app_event(limit).events > 0 {
                 let done = net.events_processed();
-                steps.push((at.as_nanos(), done - prev));
+                let delivered = net.take_app_events().len();
+                steps.push((net.now().as_nanos(), done - prev, delivered));
                 prev = done;
             }
             steps

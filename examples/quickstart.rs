@@ -33,7 +33,7 @@ fn main() {
         // back as the server application.
         let mut done = false;
         while !done {
-            net.run_next_before(SimTime::MAX).expect("events pending");
+            assert!(net.run_until_app_event(SimTime::MAX).events > 0, "events pending");
             for (at, host, ev) in net.take_app_events() {
                 match ev {
                     AppEvent::RpcRequestArrived { client, rpc, request_len } => {
