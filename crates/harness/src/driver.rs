@@ -161,12 +161,10 @@ pub struct OnewayResult {
     pub engine_profile: EngineProfile,
 }
 
-/// Memoized unloaded-latency lookup passed through the event handler.
-type UnloadedCache<'a, M, T> = dyn FnMut(&Network<M, T>, u64, PathClass) -> u64 + 'a;
-
 /// Bitset over message tags `0..n_msgs`: which messages have already been
 /// resolved (delivered or aborted). Backs the duplicate-delivery counter
 /// in O(messages/8) memory.
+#[derive(Default)]
 struct ResolvedSet {
     bits: Vec<u64>,
     len: u64,
@@ -187,6 +185,82 @@ impl ResolvedSet {
     /// either way a delivery for it is spurious.
     fn spurious(&self, tag: u64) -> bool {
         tag >= self.len || self.bits[(tag / 64) as usize] & (1u64 << (tag % 64)) != 0
+    }
+}
+
+/// What a one-way run has sent and what has come back of it.
+#[derive(Default)]
+struct OnewayTally {
+    /// tag -> (size, injected_ns, path_class, victim)
+    pending: HashMap<u64, (u64, u64, PathClass, bool)>,
+    resolved: ResolvedSet,
+    records: Vec<MsgRecord>,
+    victim_records: Vec<MsgRecord>,
+    sketch: SlowdownSketch,
+    delivered: u64,
+    aborted: u64,
+    duplicate_deliveries: u64,
+    delivered_goodput_bytes: u64,
+    /// Memoized unloaded latency per (size, path class).
+    unloaded_cache: HashMap<(u64, PathClass), u64>,
+}
+
+impl OnewayTally {
+    /// Account for every application event `net` has pending.
+    fn take_events<M: PacketMeta, T: Transport<M>>(
+        &mut self,
+        net: &mut Network<M, T>,
+        opts: &OnewayOpts,
+    ) {
+        for (at, host, ev) in net.take_app_events() {
+            match ev {
+                AppEvent::MessageDelivered { src, tag, len } => {
+                    if let Some((size, injected_ns, class, victim)) = self.pending.remove(&tag) {
+                        debug_assert_eq!(size, len);
+                        self.resolved.mark(tag);
+                        self.delivered += 1;
+                        if tag >= opts.warmup_msgs {
+                            self.delivered_goodput_bytes += size;
+                            let delay = if opts.track_delay {
+                                net.with_transport(host, |t, _, _| t.take_message_delay(src, tag))
+                            } else {
+                                Default::default()
+                            };
+                            let unloaded_ns =
+                                *self.unloaded_cache.entry((size, class)).or_insert_with(|| {
+                                    let topo = net.topology();
+                                    topo.unloaded_one_way_class(size, PAYLOAD, OVERHEAD, class)
+                                        .as_nanos()
+                                });
+                            let rec = MsgRecord {
+                                size,
+                                injected_ns,
+                                completed_ns: at.as_nanos(),
+                                unloaded_ns,
+                                delay,
+                            };
+                            if !victim {
+                                self.sketch.push(size, rec.slowdown());
+                            }
+                            if opts.keep_records {
+                                if victim {
+                                    self.victim_records.push(rec);
+                                } else {
+                                    self.records.push(rec);
+                                }
+                            }
+                        }
+                    } else if self.resolved.spurious(tag) {
+                        self.duplicate_deliveries += 1;
+                    }
+                }
+                AppEvent::Aborted { tag, .. } if self.pending.remove(&tag).is_some() => {
+                    self.resolved.mark(tag);
+                    self.aborted += 1;
+                }
+                _ => {}
+            }
+        }
     }
 }
 
@@ -253,88 +327,18 @@ where
         net.enable_trace(opts.trace_cap);
     }
 
-    // tag -> (size, injected_ns, path_class, victim)
-    let mut pending: HashMap<u64, (u64, u64, PathClass, bool)> = HashMap::new();
-    let mut unloaded_cache: HashMap<(u64, PathClass), u64> = HashMap::new();
-    let mut records =
-        if opts.keep_records { Vec::with_capacity(n_msgs as usize) } else { Vec::new() };
-    let mut victim_records = Vec::new();
-    let mut sketch = SlowdownSketch::default();
-    let mut resolved = ResolvedSet::new(n_msgs);
+    let mut tally = OnewayTally {
+        resolved: ResolvedSet::new(n_msgs),
+        records: if opts.keep_records { Vec::with_capacity(n_msgs as usize) } else { Vec::new() },
+        ..OnewayTally::default()
+    };
     let mut injected = 0u64;
-    let mut delivered = 0u64;
-    let mut aborted = 0u64;
-    let mut duplicate_deliveries = 0u64;
     let mut injected_bytes = 0u64;
-    let mut delivered_goodput_bytes = 0u64;
 
     // Wasted-bandwidth sampling state.
     let mut next_sample = SimTime::ZERO + opts.sample_interval;
     let mut samples = 0u64;
     let mut wasted_hits = 0u64;
-
-    let mut unloaded_of = |net: &Network<M, T>, size: u64, class: PathClass| -> u64 {
-        *unloaded_cache.entry((size, class)).or_insert_with(|| {
-            net.topology().unloaded_one_way_class(size, PAYLOAD, OVERHEAD, class).as_nanos()
-        })
-    };
-
-    let handle_events = |net: &mut Network<M, T>,
-                         pending: &mut HashMap<u64, (u64, u64, PathClass, bool)>,
-                         resolved: &mut ResolvedSet,
-                         records: &mut Vec<MsgRecord>,
-                         victim_records: &mut Vec<MsgRecord>,
-                         sketch: &mut SlowdownSketch,
-                         delivered: &mut u64,
-                         aborted: &mut u64,
-                         duplicate_deliveries: &mut u64,
-                         delivered_goodput_bytes: &mut u64,
-                         unloaded_cache: &mut UnloadedCache<'_, M, T>| {
-        for (at, host, ev) in net.take_app_events() {
-            match ev {
-                AppEvent::MessageDelivered { src, tag, len } => {
-                    if let Some((size, injected_ns, class, victim)) = pending.remove(&tag) {
-                        debug_assert_eq!(size, len);
-                        resolved.mark(tag);
-                        *delivered += 1;
-                        if tag >= opts.warmup_msgs {
-                            *delivered_goodput_bytes += size;
-                            let delay = if opts.track_delay {
-                                net.with_transport(host, |t, _, _| t.take_message_delay(src, tag))
-                            } else {
-                                Default::default()
-                            };
-                            let unloaded_ns = unloaded_cache(net, size, class);
-                            let rec = MsgRecord {
-                                size,
-                                injected_ns,
-                                completed_ns: at.as_nanos(),
-                                unloaded_ns,
-                                delay,
-                            };
-                            if !victim {
-                                sketch.push(size, rec.slowdown());
-                            }
-                            if opts.keep_records {
-                                if victim {
-                                    victim_records.push(rec);
-                                } else {
-                                    records.push(rec);
-                                }
-                            }
-                        }
-                    } else if resolved.spurious(tag) {
-                        *duplicate_deliveries += 1;
-                    }
-                }
-                AppEvent::Aborted { tag, .. } if pending.remove(&tag).is_some() => {
-                    resolved.mark(tag);
-                    *aborted += 1;
-                }
-                _ => {}
-            }
-        }
-    };
 
     // Injection phase.
     while injected < n_msgs {
@@ -343,19 +347,7 @@ where
         // Process events (and samples) up to the arrival.
         while opts.sample_wasted && next_sample <= at {
             net.run_until(next_sample);
-            handle_events(
-                &mut net,
-                &mut pending,
-                &mut resolved,
-                &mut records,
-                &mut victim_records,
-                &mut sketch,
-                &mut delivered,
-                &mut aborted,
-                &mut duplicate_deliveries,
-                &mut delivered_goodput_bytes,
-                &mut unloaded_of,
-            );
+            tally.take_events(&mut net, opts);
             for h in net.topology().hosts() {
                 samples += 1;
                 if net.downlink_idle(h) && net.withholding(h) {
@@ -365,23 +357,11 @@ where
             next_sample += opts.sample_interval;
         }
         net.run_until(at);
-        handle_events(
-            &mut net,
-            &mut pending,
-            &mut resolved,
-            &mut records,
-            &mut victim_records,
-            &mut sketch,
-            &mut delivered,
-            &mut aborted,
-            &mut duplicate_deliveries,
-            &mut delivered_goodput_bytes,
-            &mut unloaded_of,
-        );
+        tally.take_events(&mut net, opts);
         let tag = injected;
         let class = topo.path_class(HostId(arrival.src), HostId(arrival.dst));
         net.inject_message(HostId(arrival.src), HostId(arrival.dst), arrival.size, tag);
-        pending.insert(tag, (arrival.size, at.as_nanos(), class, arrival.victim));
+        tally.pending.insert(tag, (arrival.size, at.as_nanos(), class, arrival.victim));
         injected += 1;
         injected_bytes += arrival.size;
     }
@@ -391,23 +371,11 @@ where
     // (finishing that timestamp batch), so only batches that deliver
     // something come back here.
     let deadline = inject_end + opts.drain;
-    while !pending.is_empty() && net.now() < deadline {
+    while !tally.pending.is_empty() && net.now() < deadline {
         if net.run_until_app_event(deadline).events == 0 {
             break;
         }
-        handle_events(
-            &mut net,
-            &mut pending,
-            &mut resolved,
-            &mut records,
-            &mut victim_records,
-            &mut sketch,
-            &mut delivered,
-            &mut aborted,
-            &mut duplicate_deliveries,
-            &mut delivered_goodput_bytes,
-            &mut unloaded_of,
-        );
+        tally.take_events(&mut net, opts);
     }
 
     let duration = net.now();
@@ -423,20 +391,20 @@ where
         0.0
     };
     let delivered_bps = if duration.as_nanos() > 0 {
-        delivered_goodput_bytes as f64 * 8.0 / duration.as_secs_f64()
+        tally.delivered_goodput_bytes as f64 * 8.0 / duration.as_secs_f64()
     } else {
         0.0
     };
 
     OnewayResult {
-        records,
-        victim_records,
-        sketch,
+        records: tally.records,
+        victim_records: tally.victim_records,
+        sketch: tally.sketch,
         injected,
-        delivered,
-        aborted,
-        lost: pending.len() as u64,
-        duplicate_deliveries,
+        delivered: tally.delivered,
+        aborted: tally.aborted,
+        lost: tally.pending.len() as u64,
+        duplicate_deliveries: tally.duplicate_deliveries,
         stats,
         wasted_fraction: if samples > 0 { wasted_hits as f64 / samples as f64 } else { f64::NAN },
         duration,
@@ -485,6 +453,66 @@ pub struct RpcResult {
     pub duration: SimTime,
 }
 
+/// What an RPC-echo run has issued and what has completed.
+#[derive(Default)]
+struct RpcTally {
+    /// tag -> (size, injected_ns)
+    pending: HashMap<u64, (u64, u64)>,
+    records: Vec<MsgRecord>,
+    completed: u64,
+    aborted: u64,
+    /// Memoized unloaded echo latency per size.
+    unloaded_cache: HashMap<u64, u64>,
+}
+
+impl RpcTally {
+    /// Echo every request that arrived and account for every completion
+    /// `net` has pending.
+    fn take_events<M: PacketMeta, T: Transport<M>>(
+        &mut self,
+        net: &mut Network<M, T>,
+        opts: &RpcOpts,
+    ) {
+        for (at, host, ev) in net.take_app_events() {
+            match ev {
+                AppEvent::RpcRequestArrived { client, rpc, request_len } => {
+                    // Echo: the response is the request payload.
+                    net.inject_response(host, client, rpc, request_len);
+                }
+                AppEvent::RpcCompleted { tag, response_len, .. } => {
+                    if let Some((size, injected_ns)) = self.pending.remove(&tag) {
+                        debug_assert_eq!(size, response_len);
+                        self.completed += 1;
+                        if tag >= opts.warmup {
+                            let unloaded_ns =
+                                *self.unloaded_cache.entry(size).or_insert_with(|| {
+                                    // Echo RPC: request one way, response back.
+                                    2 * net
+                                        .topology()
+                                        .unloaded_one_way(size, PAYLOAD, OVERHEAD)
+                                        .as_nanos()
+                                });
+                            self.records.push(MsgRecord {
+                                size,
+                                injected_ns,
+                                completed_ns: at.as_nanos(),
+                                unloaded_ns,
+                                delay: Default::default(),
+                            });
+                        }
+                    }
+                }
+                AppEvent::Aborted { tag, .. } => {
+                    if self.pending.remove(&tag).is_some() {
+                        self.aborted += 1;
+                    }
+                }
+                AppEvent::MessageDelivered { .. } => {}
+            }
+        }
+    }
+}
+
 /// The §5.1 echo benchmark: each client issues echo RPCs of
 /// workload-sampled sizes to random servers at `spec.load`; servers
 /// return the same payload. Entry point: [`ScenarioSpec::run_rpc_echo`].
@@ -523,77 +551,34 @@ where
     }
     let mut rng_srv = seed.wrapping_mul(0x2545_F491_4F6C_DD1D);
 
-    let mut pending: HashMap<u64, (u64, u64)> = HashMap::new();
-    let mut unloaded_cache: HashMap<u64, u64> = HashMap::new();
-    let mut records = Vec::with_capacity(n_rpcs as usize);
-    let (mut issued, mut completed, mut aborted) = (0u64, 0u64, 0u64);
-
-    let mut process = |net: &mut Network<M, T>,
-                       pending: &mut HashMap<u64, (u64, u64)>,
-                       records: &mut Vec<MsgRecord>,
-                       completed: &mut u64,
-                       aborted: &mut u64| {
-        for (at, host, ev) in net.take_app_events() {
-            match ev {
-                AppEvent::RpcRequestArrived { client, rpc, request_len } => {
-                    // Echo: the response is the request payload.
-                    net.inject_response(host, client, rpc, request_len);
-                }
-                AppEvent::RpcCompleted { tag, response_len, .. } => {
-                    if let Some((size, injected_ns)) = pending.remove(&tag) {
-                        debug_assert_eq!(size, response_len);
-                        *completed += 1;
-                        if tag >= opts.warmup {
-                            let unloaded_ns = *unloaded_cache.entry(size).or_insert_with(|| {
-                                // Echo RPC: request one way, response back.
-                                2 * net
-                                    .topology()
-                                    .unloaded_one_way(size, PAYLOAD, OVERHEAD)
-                                    .as_nanos()
-                            });
-                            records.push(MsgRecord {
-                                size,
-                                injected_ns,
-                                completed_ns: at.as_nanos(),
-                                unloaded_ns,
-                                delay: Default::default(),
-                            });
-                        }
-                    }
-                }
-                AppEvent::Aborted { tag, .. } => {
-                    if pending.remove(&tag).is_some() {
-                        *aborted += 1;
-                    }
-                }
-                AppEvent::MessageDelivered { .. } => {}
-            }
-        }
-    };
+    let mut tally =
+        RpcTally { records: Vec::with_capacity(n_rpcs as usize), ..RpcTally::default() };
+    let mut issued = 0u64;
 
     while issued < n_rpcs {
         let arrival = gen.next_arrival();
         let at = SimTime::from_nanos(arrival.at_ns);
         net.run_until(at);
-        process(&mut net, &mut pending, &mut records, &mut completed, &mut aborted);
+        tally.take_events(&mut net, opts);
         // Random client issues to a random server.
         rng_srv = rng_srv.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         let client = HostId(arrival.src % opts.clients);
         let server = HostId(opts.clients + ((rng_srv >> 33) as u32 % servers));
         let tag = issued;
         net.inject_rpc(client, server, arrival.size, tag);
-        pending.insert(tag, (arrival.size, at.as_nanos()));
+        tally.pending.insert(tag, (arrival.size, at.as_nanos()));
         issued += 1;
     }
     let deadline = net.now() + opts.drain;
-    while !pending.is_empty() && net.now() < deadline {
+    while !tally.pending.is_empty() && net.now() < deadline {
         if net.run_until_app_event(deadline).events == 0 {
             break;
         }
-        process(&mut net, &mut pending, &mut records, &mut completed, &mut aborted);
+        tally.take_events(&mut net, opts);
     }
 
     let stats = net.harvest_stats();
+    let RpcTally { records, completed, aborted, .. } = tally;
     RpcResult { records, issued, completed, aborted, stats, duration: net.now() }
 }
 

@@ -487,7 +487,7 @@ mod tests {
         let spec =
             ScenarioSpec::parse_spec_line("name=a fabric=sw:8 wl=w2 load=0.5 msgs=100 seed=3")
                 .unwrap();
-        assert_eq!(spec.engine, EngineKind::Hierarchical);
+        assert_eq!(spec.engine, EngineKind::default());
         assert!(spec.traffic.is_default());
         assert!(spec.faults.is_empty());
     }

@@ -41,15 +41,18 @@
 //! they never reach a trace or a statistic, so which slot a packet
 //! occupies cannot change a run.
 //!
-//! ## State partitioning
+//! ## State layout
 //!
-//! Fabric state is partitioned into *groups*: one `RackState` per rack
-//! (the rack's hosts and their TOR — every host↔TOR interaction stays
-//! inside the group) and one `SpineState` holding all upper-tier
-//! switches. Each event touches exactly one group's state, which
-//! dispatch resolves once per event (`group_of_ev`) and hands to the
-//! handlers as a `GroupMut` view. Events are dispatched one at a time
-//! in global `(time, seq)` order, so a run is *bit-identical* on every
+//! Fabric state is flat: dispatch reaches a host or port straight from
+//! the ids an event carries. Host state is struct-of-arrays indexed by
+//! `HostId.0`: transports, NIC egress ports, receiver-pause flags and
+//! pause buffers each get their own vector, so the hot fields (ports in
+//! the `TxDone` path, transports in the delivery path) stay contiguous
+//! and the cold pause state does not pad them. Every switch sits in one
+//! vector: TOR `r` at index `r`, upper-tier switch `s` at `racks + s`.
+//! One transport-action scratch buffer and one set of fault counters
+//! serve every event. Events are dispatched one at a time in global
+//! `(time, seq)` order, so a run is *bit-identical* on every
 //! [`EngineKind`]; `tests/determinism.rs` proves it end-to-end.
 
 use crate::events::{EngineKind, EngineStats, EventEngine, TimerToken};
@@ -243,7 +246,7 @@ impl<M: PacketMeta> Port<M> {
 struct SwitchNode<M> {
     ports: Vec<Port<M>>,
     /// Deterministic-spray counter for fat-tree uplink selection: mixed
-    /// with the packet's flow key per decision (see [`GroupMut::spray_next`]).
+    /// with the packet's flow key per decision (see [`Fabric::spray_next`]).
     spray: u64,
 }
 
@@ -256,25 +259,10 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Counters accumulated inside one dispatch group (summed at harvest).
-#[derive(Debug, Clone, Copy, Default)]
-struct GroupCounters {
-    faults_applied: u64,
-    fault_drops: u64,
-    deferred_deliveries: u64,
-}
-
-/// One rack's partition of the fabric: its hosts and their TOR. All
-/// host↔TOR traffic is group-internal.
-///
-/// Host state is struct-of-arrays: the hot fields (ports in the TxDone
-/// path, transports in the delivery path) are contiguous per rack
-/// instead of interleaved in one node struct, and the cold pause state
-/// does not pad the hot cache lines.
-struct RackState<M, T> {
-    /// First host id in this rack (hosts are rack-major and dense).
-    base_host: u32,
-    /// One transport per host, indexed by [`slot`](Self::slot).
+/// The hosts and switches dispatch mutates, laid out flat (see "State
+/// layout" above).
+struct Fabric<M, T> {
+    /// One transport per host, indexed by `HostId.0`.
     transports: Vec<T>,
     /// Host NIC egress ports, parallel to `transports`.
     host_ports: Vec<Port<M>>,
@@ -283,81 +271,49 @@ struct RackState<M, T> {
     /// Packets deferred while paused, still parked in the packet slab
     /// (delivered in order on resume).
     pause_bufs: Vec<Vec<PacketHandle>>,
-    tor: SwitchNode<M>,
+    /// TOR `r` at index `r`, upper-tier switch `s` at `racks + s`.
+    switches: Vec<SwitchNode<M>>,
     /// Reusable transport-callback action buffer.
     scratch: TransportActions,
-    counters: GroupCounters,
+    // Fault counters, copied into `RunStats` at harvest.
+    faults_applied: u64,
+    fault_drops: u64,
+    deferred_deliveries: u64,
 }
 
-impl<M, T> RackState<M, T> {
-    fn slot(&self, h: HostId) -> usize {
-        (h.0 - self.base_host) as usize
-    }
-}
-
-/// The upper-tier group: every spine (or aggregation/core) switch.
-struct SpineState<M> {
-    spines: Vec<SwitchNode<M>>,
-    counters: GroupCounters,
-}
-
-/// A mutable view of one dispatch group.
-enum GroupMut<'a, M: PacketMeta, T: Transport<M>> {
-    Rack(&'a mut RackState<M, T>),
-    Spine(&'a mut SpineState<M>),
-}
-
-impl<M: PacketMeta, T: Transport<M>> GroupMut<'_, M, T> {
-    fn counters_mut(&mut self) -> &mut GroupCounters {
-        match self {
-            GroupMut::Rack(r) => &mut r.counters,
-            GroupMut::Spine(s) => &mut s.counters,
-        }
+impl<M, T> Fabric<M, T> {
+    fn switch_mut(&mut self, topo: &Topology, node: NodeId) -> &mut SwitchNode<M> {
+        let i = match node {
+            NodeId::Tor(r) => r,
+            NodeId::Spine(s) => topo.racks + s,
+            NodeId::Host(_) => unreachable!("hosts are not switches"),
+        };
+        &mut self.switches[i as usize]
     }
 
-    fn port_mut(&mut self, node: NodeId, port: u32) -> &mut Port<M> {
-        match (self, node) {
-            (GroupMut::Rack(r), NodeId::Host(h)) => {
-                let i = r.slot(h);
-                &mut r.host_ports[i]
-            }
-            (GroupMut::Rack(r), NodeId::Tor(_)) => &mut r.tor.ports[port as usize],
-            (GroupMut::Spine(s), NodeId::Spine(sp)) => {
-                &mut s.spines[sp as usize].ports[port as usize]
-            }
-            _ => unreachable!("event routed to the wrong dispatch group"),
+    fn port_mut(&mut self, topo: &Topology, node: NodeId, port: u32) -> &mut Port<M> {
+        match node {
+            NodeId::Host(h) => &mut self.host_ports[h.0 as usize],
+            sw => &mut self.switch_mut(topo, sw).ports[port as usize],
         }
     }
 
     /// Draw the next deterministic spray decision at switch `node` for a
     /// `src → dst` packet: the flow key hashed with a per-switch counter,
     /// reduced to `0..n`. Pure per-switch state — no global RNG draw.
-    fn spray_next(&mut self, node: NodeId, src: HostId, dst: HostId, n: u32) -> u32 {
-        let sw = match (self, node) {
-            (GroupMut::Rack(r), NodeId::Tor(_)) => &mut r.tor,
-            (GroupMut::Spine(s), NodeId::Spine(sp)) => &mut s.spines[sp as usize],
-            _ => unreachable!("spray at a non-switch node"),
-        };
+    fn spray_next(
+        &mut self,
+        topo: &Topology,
+        node: NodeId,
+        src: HostId,
+        dst: HostId,
+        n: u32,
+    ) -> u32 {
+        let sw = self.switch_mut(topo, node);
         let c = sw.spray;
         sw.spray = sw.spray.wrapping_add(1);
         let key = ((src.0 as u64) << 32) | dst.0 as u64;
         (splitmix64(key ^ c.wrapping_mul(0xD1B54A32D192ED03)) % n as u64) as u32
-    }
-}
-
-fn group_of_node(topo: &Topology, node: NodeId) -> usize {
-    match node {
-        NodeId::Host(h) => topo.rack_of(h) as usize,
-        NodeId::Tor(r) => r as usize,
-        NodeId::Spine(_) => topo.racks as usize,
-    }
-}
-
-fn group_of_ev(topo: &Topology, faults: &[FaultEntry], ev: &Ev) -> usize {
-    match ev {
-        Ev::TxDone { node, .. } | Ev::SwitchArrive { node, .. } => group_of_node(topo, *node),
-        Ev::Fault { idx } => group_of_node(topo, faults[*idx as usize].0),
-        Ev::HostDeliver { host, .. } | Ev::Timer { host, .. } => topo.rack_of(*host) as usize,
     }
 }
 
@@ -397,50 +353,10 @@ impl<M: PacketMeta> DirectSink<'_, M> {
     }
 }
 
-fn dispatch_event<M: PacketMeta, T: Transport<M>>(
-    topo: &Topology,
-    faults: &[FaultEntry],
-    g: &mut GroupMut<'_, M, T>,
-    now: SimTime,
-    ev: Ev,
-    rng: &mut StdRng,
-    sink: &mut DirectSink<'_, M>,
-) {
-    match ev {
-        Ev::TxDone { node, port } => on_tx_done(topo, g, now, node, port, sink),
-        Ev::SwitchArrive { node, pkt } => on_switch_arrive(topo, g, now, node, pkt, rng, sink),
-        Ev::HostDeliver { host, pkt } => {
-            let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
-            let i = rack.slot(host);
-            if rack.paused[i] {
-                // The packet stays parked until the receiver resumes.
-                rack.pause_bufs[i].push(pkt);
-                rack.counters.deferred_deliveries += 1;
-                return;
-            }
-            let pkt = sink.packets.take(pkt);
-            deliver_to_host(rack, topo, now, host, pkt, sink);
-        }
-        Ev::Fault { idx } => {
-            let (node, port, action) = faults[idx as usize];
-            apply_fault(topo, g, now, node, port, action, sink);
-        }
-        Ev::Timer { host, token } => {
-            let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
-            let mut act = std::mem::take(&mut rack.scratch);
-            act.reset();
-            let i = rack.slot(host);
-            rack.transports[i].on_timer(now, token, &mut act);
-            apply_actions(rack, topo, now, host, act, sink);
-        }
-    }
-}
-
 /// Hand a fully-arrived packet to a host's transport (the tail of the
 /// `HostDeliver` path, also used when a paused receiver resumes).
 fn deliver_to_host<M: PacketMeta, T: Transport<M>>(
-    rack: &mut RackState<M, T>,
-    topo: &Topology,
+    f: &mut Fabric<M, T>,
     now: SimTime,
     host: HostId,
     pkt: Packet<M>,
@@ -451,16 +367,14 @@ fn deliver_to_host<M: PacketMeta, T: Transport<M>>(
             sink.trace(now, TraceEvent::GrantReceived { host, from: pkt.src, offset, prio });
         }
     }
-    let mut act = std::mem::take(&mut rack.scratch);
+    let mut act = std::mem::take(&mut f.scratch);
     act.reset();
-    let i = rack.slot(host);
-    rack.transports[i].on_packet(now, pkt, &mut act);
-    apply_actions(rack, topo, now, host, act, sink);
+    f.transports[host.0 as usize].on_packet(now, pkt, &mut act);
+    apply_actions(f, now, host, act, sink);
 }
 
 fn apply_actions<M: PacketMeta, T: Transport<M>>(
-    rack: &mut RackState<M, T>,
-    topo: &Topology,
+    f: &mut Fabric<M, T>,
     now: SimTime,
     host: HostId,
     mut act: TransportActions,
@@ -480,26 +394,25 @@ fn apply_actions<M: PacketMeta, T: Transport<M>>(
     }
     let kick = act.take_tx_kick();
     act.reset();
-    rack.scratch = act;
+    f.scratch = act;
     if kick {
-        poll_host_tx(rack, topo, now, host, sink);
+        poll_host_tx(f, now, host, sink);
     }
 }
 
 /// If the host uplink is idle, pull the next packet from the transport.
 fn poll_host_tx<M: PacketMeta, T: Transport<M>>(
-    rack: &mut RackState<M, T>,
-    _topo: &Topology,
+    f: &mut Fabric<M, T>,
     now: SimTime,
     host: HostId,
     sink: &mut DirectSink<'_, M>,
 ) {
-    let i = rack.slot(host);
-    let port = &mut rack.host_ports[i];
+    let i = host.0 as usize;
+    let port = &f.host_ports[i];
     if port.busy() || !port.up {
         return;
     }
-    if let Some(pkt) = rack.transports[i].next_packet(now) {
+    if let Some(pkt) = f.transports[i].next_packet(now) {
         debug_assert_eq!(pkt.src, host, "transport emitted packet with wrong source");
         if sink.tracing() {
             // Grants and resends are protocol-level control packets; the
@@ -518,14 +431,33 @@ fn poll_host_tx<M: PacketMeta, T: Transport<M>>(
                 _ => {}
             }
         }
-        let done_at = begin_tx(now, NodeId::Host(host), 0, &mut rack.host_ports[i], pkt, sink);
-        sink.schedule(done_at, Ev::TxDone { node: NodeId::Host(host), port: 0 });
+        begin_tx(now, NodeId::Host(host), 0, &mut f.host_ports[i], pkt, sink);
     }
 }
 
-/// Occupy `port` (egress `port_idx` of `node`) with `pkt`; returns the
-/// completion time, which the caller must schedule as a `TxDone` for the
-/// port. Emits the packet's one [`TraceEvent::TxStart`] when tracing.
+/// If switch port `port` (egress `port_idx` of `node`) is idle and up,
+/// start serializing the head of its queue.
+fn serve_queue<M: PacketMeta>(
+    now: SimTime,
+    node: NodeId,
+    port_idx: u32,
+    port: &mut Port<M>,
+    sink: &mut DirectSink<'_, M>,
+) {
+    if port.busy() || !port.up {
+        return;
+    }
+    if let Some(next) = port.queue.dequeue(now) {
+        if sink.tracing() {
+            trace_dequeue(now, node, port_idx, port, &next, sink);
+        }
+        begin_tx(now, node, port_idx, port, next, sink);
+    }
+}
+
+/// Occupy `port` (egress `port_idx` of `node`) with `pkt` and schedule
+/// the `TxDone` that frees it. Emits the packet's one
+/// [`TraceEvent::TxStart`] when tracing.
 fn begin_tx<M: PacketMeta>(
     now: SimTime,
     node: NodeId,
@@ -533,7 +465,7 @@ fn begin_tx<M: PacketMeta>(
     port: &mut Port<M>,
     pkt: Packet<M>,
     sink: &mut DirectSink<'_, M>,
-) -> SimTime {
+) {
     debug_assert!(!port.busy(), "begin_tx on busy port");
     let dur = SimDuration::serialization(pkt.wire_bytes() as u64, port.rate_bps);
     let done_at = now + dur;
@@ -559,7 +491,7 @@ fn begin_tx<M: PacketMeta>(
     // Preemption-lag accounting for everything still waiting.
     port.queue.on_tx_start(&pkt, dur);
     port.sending = Some((pkt, done_at));
-    done_at
+    sink.schedule(done_at, Ev::TxDone { node, port: port_idx });
 }
 
 /// Emit the [`TraceEvent::Dequeue`] for a packet just popped from
@@ -593,55 +525,36 @@ fn trace_dequeue<M: PacketMeta>(
 
 fn on_tx_done<M: PacketMeta, T: Transport<M>>(
     topo: &Topology,
-    g: &mut GroupMut<'_, M, T>,
+    f: &mut Fabric<M, T>,
     now: SimTime,
     node: NodeId,
     port_idx: u32,
     sink: &mut DirectSink<'_, M>,
 ) {
-    let (prop_delay, host_sw_delay, switch_delay) =
-        (topo.prop_delay, topo.host_sw_delay, topo.switch_delay);
-    let (pkt, peer) = {
-        let port = g.port_mut(node, port_idx);
-        let (pkt, _) = port.sending.take().expect("TxDone without transmission");
-        (pkt, port.peer)
-    };
+    let port = f.port_mut(topo, node, port_idx);
+    let (pkt, _) = port.sending.take().expect("TxDone without transmission");
+    let peer = port.peer;
 
     // Deliver to the peer: the packet waits out the link and the next
     // hop's delay parked in the slab.
     let pkt = sink.packets.park(pkt);
     match peer {
         NodeId::Host(h) => {
-            let at = now + prop_delay + host_sw_delay;
+            let at = now + topo.prop_delay + topo.host_sw_delay;
             sink.schedule(at, Ev::HostDeliver { host: h, pkt });
         }
         sw @ (NodeId::Tor(_) | NodeId::Spine(_)) => {
-            let at = now + prop_delay + switch_delay;
+            let at = now + topo.prop_delay + topo.switch_delay;
             sink.schedule(at, Ev::SwitchArrive { node: sw, pkt });
         }
     }
 
-    // Keep the port busy with the next packet, if any.
+    // Keep the port busy with the next packet, if any. A downed link
+    // finishes its in-flight packet but does not start another; service
+    // resumes on the LinkUp fault.
     match node {
-        NodeId::Host(h) => {
-            let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
-            poll_host_tx(rack, topo, now, h, sink);
-        }
-        _ => {
-            let port = g.port_mut(node, port_idx);
-            // A downed link finishes its in-flight packet but does not
-            // start another; service resumes on the LinkUp fault.
-            if !port.up {
-                return;
-            }
-            if let Some(next) = port.queue.dequeue(now) {
-                if sink.tracing() {
-                    trace_dequeue(now, node, port_idx, port, &next, sink);
-                }
-                let done_at = begin_tx(now, node, port_idx, port, next, sink);
-                sink.schedule(done_at, Ev::TxDone { node, port: port_idx });
-            }
-        }
+        NodeId::Host(h) => poll_host_tx(f, now, h, sink),
+        _ => serve_queue(now, node, port_idx, f.port_mut(topo, node, port_idx), sink),
     }
 }
 
@@ -651,11 +564,11 @@ fn on_tx_done<M: PacketMeta, T: Transport<M>>(
 /// uplinks from the network's seeded RNG.
 ///
 /// Fat tree: up-facing hops (TOR → agg, agg → core) spray via the
-/// switch's own deterministic counter hash ([`GroupMut::spray_next`]);
+/// switch's own deterministic counter hash ([`Fabric::spray_next`]);
 /// down-facing hops are fully determined by `dst`.
 fn route<M: PacketMeta, T: Transport<M>>(
     topo: &Topology,
-    g: &mut GroupMut<'_, M, T>,
+    f: &mut Fabric<M, T>,
     rng: &mut StdRng,
     node: NodeId,
     src: HostId,
@@ -668,7 +581,7 @@ fn route<M: PacketMeta, T: Transport<M>>(
             topo.hosts_per_rack + rng.gen_range(0..topo.spines)
         }
         (NodeId::Tor(_), FabricKind::FatTree { k }) => {
-            topo.hosts_per_rack + g.spray_next(node, src, dst, k / 2)
+            topo.hosts_per_rack + f.spray_next(topo, node, src, dst, k / 2)
         }
         (NodeId::Spine(_), FabricKind::LeafSpine) => dst_rack,
         (NodeId::Spine(s), FabricKind::FatTree { k }) => {
@@ -679,7 +592,7 @@ fn route<M: PacketMeta, T: Transport<M>>(
                 if topo.pod_of_rack(dst_rack) == s / half {
                     dst_rack % half
                 } else {
-                    half + g.spray_next(node, src, dst, half)
+                    half + f.spray_next(topo, node, src, dst, half)
                 }
             } else {
                 // Core switch: one down port per pod.
@@ -692,7 +605,7 @@ fn route<M: PacketMeta, T: Transport<M>>(
 
 fn on_switch_arrive<M: PacketMeta, T: Transport<M>>(
     topo: &Topology,
-    g: &mut GroupMut<'_, M, T>,
+    f: &mut Fabric<M, T>,
     now: SimTime,
     node: NodeId,
     handle: PacketHandle,
@@ -703,22 +616,22 @@ fn on_switch_arrive<M: PacketMeta, T: Transport<M>>(
         let pkt = sink.packets.get(handle);
         (pkt.src, pkt.dst)
     };
-    let port_idx = route(topo, g, rng, node, src, dst);
+    let port_idx = route(topo, f, rng, node, src, dst);
+    let port = f.port_mut(topo, node, port_idx);
 
     // Link-state check: packets routed to a downed egress are lost
     // (the switch has nowhere to forward them); transports recover
     // via their own retransmission machinery.
-    if !g.port_mut(node, port_idx).up {
+    if !port.up {
         if sink.tracing() {
             let prio = sink.packets.get(handle).priority();
             sink.trace(now, TraceEvent::FaultDrop { node, port: port_idx, src, dst, prio });
         }
         sink.packets.release(handle);
-        g.counters_mut().fault_drops += 1;
+        f.fault_drops += 1;
         return;
     }
     let mut pkt = sink.packets.take(handle);
-    let port = g.port_mut(node, port_idx);
 
     // Hot-path bypass: an idle port with an empty queue transmits the
     // packet immediately; `pass_through` performs the byte/ECN
@@ -727,8 +640,7 @@ fn on_switch_arrive<M: PacketMeta, T: Transport<M>>(
     // dequeue trace events fire here — the packet never waited; its
     // `TxStart` is the whole story.
     if !port.busy() && port.queue.pass_through(now, &mut pkt) {
-        let done_at = begin_tx(now, node, port_idx, port, pkt, sink);
-        sink.schedule(done_at, Ev::TxDone { node, port: port_idx });
+        begin_tx(now, node, port_idx, port, pkt, sink);
         return;
     }
 
@@ -776,77 +688,52 @@ fn on_switch_arrive<M: PacketMeta, T: Transport<M>>(
             },
         );
     }
-    if !port.busy() {
-        if let Some(next) = port.queue.dequeue(now) {
-            if sink.tracing() {
-                trace_dequeue(now, node, port_idx, port, &next, sink);
-            }
-            let done_at = begin_tx(now, node, port_idx, port, next, sink);
-            sink.schedule(done_at, Ev::TxDone { node, port: port_idx });
-        }
-    }
+    serve_queue(now, node, port_idx, port, sink);
 }
 
 fn apply_fault<M: PacketMeta, T: Transport<M>>(
     topo: &Topology,
-    g: &mut GroupMut<'_, M, T>,
+    f: &mut Fabric<M, T>,
     now: SimTime,
     node: NodeId,
     port_idx: u32,
     action: FaultAction,
     sink: &mut DirectSink<'_, M>,
 ) {
-    g.counters_mut().faults_applied += 1;
+    f.faults_applied += 1;
     match action {
-        FaultAction::LinkDown => g.port_mut(node, port_idx).up = false,
+        FaultAction::LinkDown => f.port_mut(topo, node, port_idx).up = false,
         FaultAction::LinkUp => {
-            g.port_mut(node, port_idx).up = true;
+            f.port_mut(topo, node, port_idx).up = true;
             // Restart service: a host pulls from its transport, a
             // switch port from its (preserved) queue.
             match node {
-                NodeId::Host(h) => {
-                    let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
-                    poll_host_tx(rack, topo, now, h, sink);
-                }
-                _ => {
-                    let port = g.port_mut(node, port_idx);
-                    if !port.busy() {
-                        if let Some(next) = port.queue.dequeue(now) {
-                            if sink.tracing() {
-                                trace_dequeue(now, node, port_idx, port, &next, sink);
-                            }
-                            let done_at = begin_tx(now, node, port_idx, port, next, sink);
-                            sink.schedule(done_at, Ev::TxDone { node, port: port_idx });
-                        }
-                    }
-                }
+                NodeId::Host(h) => poll_host_tx(f, now, h, sink),
+                _ => serve_queue(now, node, port_idx, f.port_mut(topo, node, port_idx), sink),
             }
         }
-        FaultAction::SetRate(bps) => g.port_mut(node, port_idx).rate_bps = bps,
+        FaultAction::SetRate(bps) => f.port_mut(topo, node, port_idx).rate_bps = bps,
         FaultAction::RestoreRate => {
-            let port = g.port_mut(node, port_idx);
+            let port = f.port_mut(topo, node, port_idx);
             port.rate_bps = port.base_rate_bps;
         }
         FaultAction::PauseRx => {
             let NodeId::Host(h) = node else { unreachable!("pause resolved to a host") };
-            let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
-            let i = rack.slot(h);
-            rack.paused[i] = true;
+            f.paused[h.0 as usize] = true;
         }
         FaultAction::ResumeRx => {
             let NodeId::Host(h) = node else { unreachable!("resume resolved to a host") };
-            let GroupMut::Rack(rack) = g else { unreachable!("host event in spine group") };
-            let i = rack.slot(h);
-            rack.paused[i] = false;
+            let i = h.0 as usize;
+            f.paused[i] = false;
             // Deliver everything parked while paused, in arrival
             // order, at the resume instant. The buffer is swapped back
             // after draining so its allocation is reused next pause.
-            let mut buf = std::mem::take(&mut rack.pause_bufs[i]);
+            let mut buf = std::mem::take(&mut f.pause_bufs[i]);
             for parked in buf.drain(..) {
                 let pkt = sink.packets.take(parked);
-                deliver_to_host(rack, topo, now, h, pkt, sink);
+                deliver_to_host(f, now, h, pkt, sink);
             }
-            rack.pause_bufs[i] = buf;
+            f.pause_bufs[i] = buf;
         }
     }
 }
@@ -875,8 +762,7 @@ pub struct EngineProfile {
     pub epoch_sort_ns: u64,
 }
 
-/// The simulated network: fabric plus one transport per host, partitioned
-/// into per-rack state groups and a spine group.
+/// The simulated network: fabric plus one transport per host.
 pub struct Network<M: PacketMeta, T: Transport<M>> {
     topo: Topology,
     cfg: NetworkConfig,
@@ -886,8 +772,7 @@ pub struct Network<M: PacketMeta, T: Transport<M>> {
     packets: PacketSlab<M>,
     /// Installed fault actions, named by index from `Ev::Fault`.
     faults: Vec<FaultEntry>,
-    racks: Vec<RackState<M, T>>,
-    spine: SpineState<M>,
+    fabric: Fabric<M, T>,
     rng: StdRng,
     app_events: Vec<(SimTime, HostId, AppEvent)>,
     events_processed: u64,
@@ -905,60 +790,32 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     pub fn new(
         topo: Topology,
         cfg: NetworkConfig,
-        mut make_transport: impl FnMut(HostId) -> T,
+        make_transport: impl FnMut(HostId) -> T,
     ) -> Self {
         topology::validate(&topo);
-        let racks: Vec<RackState<M, T>> = (0..topo.racks)
-            .map(|r| {
-                let base_host = r * topo.hosts_per_rack;
-                let n = topo.hosts_per_rack as usize;
-                let mut transports = Vec::with_capacity(n);
-                let mut host_ports = Vec::with_capacity(n);
-                for i in 0..topo.hosts_per_rack {
-                    let h = HostId(base_host + i);
-                    transports.push(make_transport(h));
-                    host_ports.push(Port::new(
-                        // Host NIC egress: the transport is the queue
-                        // (pull model); discipline here is irrelevant
-                        // but harmless.
-                        QueueDiscipline::strict8(u64::MAX),
-                        topo.host_link_bps,
-                        NodeId::Tor(r),
-                        PortClass::HostUp,
-                    ));
-                }
-                let mut ports = Vec::with_capacity(topo.tor_ports() as usize);
-                for i in 0..topo.hosts_per_rack {
-                    let h = HostId(base_host + i);
-                    ports.push(Port::new(
-                        cfg.tor_down,
-                        topo.host_link_bps,
-                        NodeId::Host(h),
-                        PortClass::TorDown,
-                    ));
-                }
-                for j in 0..topo.tor_uplinks() {
-                    let (spine, _) = topo.tor_uplink_peer(r, j);
-                    ports.push(Port::new(
-                        cfg.tor_up,
-                        topo.uplink_bps,
-                        NodeId::Spine(spine),
-                        PortClass::TorUp,
-                    ));
-                }
-                RackState {
-                    base_host,
-                    transports,
-                    host_ports,
-                    paused: vec![false; n],
-                    pause_bufs: (0..n).map(|_| Vec::new()).collect(),
-                    tor: SwitchNode { ports, spray: 0 },
-                    scratch: TransportActions::new(),
-                    counters: GroupCounters::default(),
-                }
-            })
-            .collect();
-
+        let n = topo.num_hosts() as usize;
+        // Host NIC egress: the transport is the queue (pull model); the
+        // discipline here is irrelevant but harmless.
+        let host_port = |h: HostId| {
+            Port::new(
+                QueueDiscipline::strict8(u64::MAX),
+                topo.host_link_bps,
+                NodeId::Tor(topo.rack_of(h)),
+                PortClass::HostUp,
+            )
+        };
+        // TOR `r`: one downlink per rack-local host, then its uplinks.
+        let tor = |r: u32| -> SwitchNode<M> {
+            let down = (0..topo.hosts_per_rack).map(|i| {
+                let h = HostId(r * topo.hosts_per_rack + i);
+                Port::new(cfg.tor_down, topo.host_link_bps, NodeId::Host(h), PortClass::TorDown)
+            });
+            let up = (0..topo.tor_uplinks()).map(|j| {
+                let (spine, _) = topo.tor_uplink_peer(r, j);
+                Port::new(cfg.tor_up, topo.uplink_bps, NodeId::Spine(spine), PortClass::TorUp)
+            });
+            SwitchNode { ports: down.chain(up).collect(), spray: 0 }
+        };
         // Upper-tier switches. Leaf–spine: every spine has one downlink
         // per rack. Fat tree: aggregation switch `a` (pod `a / (k/2)`)
         // has k/2 downlinks to its pod's edges then k/2 uplinks to its
@@ -1019,9 +876,16 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
             };
             SwitchNode { ports, spray: 0 }
         };
-        let spine = SpineState {
-            spines: (0..topo.spines).map(spine_switch).collect(),
-            counters: GroupCounters::default(),
+        let fabric = Fabric {
+            transports: topo.hosts().map(make_transport).collect(),
+            host_ports: topo.hosts().map(host_port).collect(),
+            paused: vec![false; n],
+            pause_bufs: vec![Vec::new(); n],
+            switches: (0..topo.racks).map(tor).chain((0..topo.spines).map(spine_switch)).collect(),
+            scratch: TransportActions::new(),
+            faults_applied: 0,
+            fault_drops: 0,
+            deferred_deliveries: 0,
         };
 
         let rng = StdRng::seed_from_u64(cfg.seed);
@@ -1036,8 +900,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
             topo,
             cfg,
             now: topology::T0,
-            racks,
-            spine,
+            fabric,
             rng,
             app_events: Vec::new(),
             events_processed: 0,
@@ -1094,8 +957,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
 
     /// Read access to a host's transport.
     pub fn transport(&self, h: HostId) -> &T {
-        let rack = &self.racks[self.topo.rack_of(h) as usize];
-        &rack.transports[self.topo.index_in_rack(h) as usize]
+        &self.fabric.transports[h.0 as usize]
     }
 
     /// Mutate a host's transport through a closure; any actions it records
@@ -1107,15 +969,10 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
     ) -> R {
         let now = self.now;
         let mut act = TransportActions::new();
-        let r = {
-            let rack = &mut self.racks[self.topo.rack_of(h) as usize];
-            let i = rack.slot(h);
-            f(&mut rack.transports[i], now, &mut act)
-        };
-        let Self { topo, racks, queue, packets, app_events, tracer, .. } = self;
-        let rack = &mut racks[topo.rack_of(h) as usize];
+        let r = f(&mut self.fabric.transports[h.0 as usize], now, &mut act);
+        let Self { fabric, queue, packets, app_events, tracer, .. } = self;
         let mut sink = DirectSink { queue, packets, app_events, tracer: tracer.as_mut() };
-        apply_actions(rack, topo, now, h, act, &mut sink);
+        apply_actions(fabric, now, h, act, &mut sink);
         r
     }
 
@@ -1143,17 +1000,35 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         });
     }
 
-    fn dispatch_direct(&mut self, ev: Ev) {
+    fn dispatch(&mut self, ev: Ev) {
         let now = self.now;
-        let Self { topo, racks, spine, queue, packets, faults, rng, app_events, tracer, .. } = self;
-        let gidx = group_of_ev(topo, faults, &ev);
-        let mut gm = if gidx < racks.len() {
-            GroupMut::Rack(&mut racks[gidx])
-        } else {
-            GroupMut::Spine(spine)
-        };
-        let mut sink = DirectSink { queue, packets, app_events, tracer: tracer.as_mut() };
-        dispatch_event(topo, faults, &mut gm, now, ev, rng, &mut sink);
+        let Self { topo, fabric: f, queue, packets, faults, rng, app_events, tracer, .. } = self;
+        let sink = &mut DirectSink { queue, packets, app_events, tracer: tracer.as_mut() };
+        match ev {
+            Ev::TxDone { node, port } => on_tx_done(topo, f, now, node, port, sink),
+            Ev::SwitchArrive { node, pkt } => on_switch_arrive(topo, f, now, node, pkt, rng, sink),
+            Ev::HostDeliver { host, pkt } => {
+                let i = host.0 as usize;
+                if f.paused[i] {
+                    // The packet stays parked until the receiver resumes.
+                    f.pause_bufs[i].push(pkt);
+                    f.deferred_deliveries += 1;
+                    return;
+                }
+                let pkt = sink.packets.take(pkt);
+                deliver_to_host(f, now, host, pkt, sink);
+            }
+            Ev::Fault { idx } => {
+                let (node, port, action) = faults[idx as usize];
+                apply_fault(topo, f, now, node, port, action, sink);
+            }
+            Ev::Timer { host, token } => {
+                let mut act = std::mem::take(&mut f.scratch);
+                act.reset();
+                f.transports[host.0 as usize].on_timer(now, token, &mut act);
+                apply_actions(f, now, host, act, sink);
+            }
+        }
     }
 
     /// Process all events up to and including time `t`, then advance the
@@ -1201,7 +1076,7 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         while let Some((at, ev)) = self.queue.pop_if_before(bound) {
             debug_assert!(at >= self.now, "event in the past");
             self.now = at;
-            self.dispatch_direct(ev);
+            self.dispatch(ev);
             out.events += 1;
             self.events_processed += 1;
             if stop_at_app_event && !self.app_events.is_empty() {
@@ -1236,37 +1111,36 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
         std::mem::take(&mut self.app_events)
     }
 
+    /// Host `h`'s TOR→host downlink port.
+    fn downlink(&self, h: HostId) -> &Port<M> {
+        &self.fabric.switches[self.topo.rack_of(h) as usize].ports
+            [self.topo.index_in_rack(h) as usize]
+    }
+
     /// True when host `h`'s TOR→host downlink is idle (nothing serializing,
     /// nothing queued). Used by the Figure 16 wasted-bandwidth probe.
     pub fn downlink_idle(&self, h: HostId) -> bool {
-        let r = self.topo.rack_of(h) as usize;
-        let p = self.topo.index_in_rack(h) as usize;
-        let port = &self.racks[r].tor.ports[p];
+        let port = self.downlink(h);
         !port.busy() && port.queue.is_empty()
     }
 
     /// True when host `h`'s uplink is currently serializing a packet.
     pub fn uplink_busy(&self, h: HostId) -> bool {
-        let rack = &self.racks[self.topo.rack_of(h) as usize];
-        rack.host_ports[self.topo.index_in_rack(h) as usize].busy()
+        self.fabric.host_ports[h.0 as usize].busy()
     }
 
     /// Utilization of host `h`'s TOR→host downlink so far.
     pub fn downlink_utilization(&self, h: HostId) -> f64 {
-        let r = self.topo.rack_of(h) as usize;
-        let p = self.topo.index_in_rack(h) as usize;
-        self.racks[r].tor.ports[p].stats.utilization(self.now)
+        self.downlink(h).stats.utilization(self.now)
     }
 
     /// Total wire bytes transmitted on host uplinks per priority level
     /// (Figure 21's traffic-by-priority accounting).
     pub fn uplink_bytes_by_prio(&self) -> [u64; 8] {
         let mut out = [0u64; 8];
-        for rack in &self.racks {
-            for p in &rack.host_ports {
-                for (i, b) in p.stats.bytes_by_prio.iter().enumerate() {
-                    out[i] += b;
-                }
+        for p in &self.fabric.host_ports {
+            for (i, b) in p.stats.bytes_by_prio.iter().enumerate() {
+                out[i] += b;
             }
         }
         out
@@ -1447,20 +1321,12 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
 
     /// Collect fabric-level statistics.
     pub fn harvest_stats(&self) -> RunStats {
-        let counters =
-            self.racks.iter().map(|r| r.counters).chain(std::iter::once(self.spine.counters)).fold(
-                GroupCounters::default(),
-                |a, b| GroupCounters {
-                    faults_applied: a.faults_applied + b.faults_applied,
-                    fault_drops: a.fault_drops + b.fault_drops,
-                    deferred_deliveries: a.deferred_deliveries + b.deferred_deliveries,
-                },
-            );
+        let f = &self.fabric;
         let mut stats = RunStats {
             events_processed: self.events_processed,
-            faults_applied: counters.faults_applied,
-            fault_drops: counters.fault_drops,
-            deferred_deliveries: counters.deferred_deliveries,
+            faults_applied: f.faults_applied,
+            fault_drops: f.fault_drops,
+            deferred_deliveries: f.deferred_deliveries,
             ..RunStats::default()
         };
         let now = self.now;
@@ -1489,27 +1355,18 @@ impl<M: PacketMeta, T: Transport<M>> Network<M, T> {
             }
         };
 
-        for rack in &self.racks {
-            for p in &rack.host_ports {
-                visit(p);
-            }
-            for p in &rack.tor.ports {
-                visit(p);
-            }
-        }
-        for sw in &self.spine.spines {
-            for p in &sw.ports {
-                visit(p);
-            }
+        // Per class, ports are visited hosts first (in id order), then
+        // TORs (in rack order), then the upper tier. The float sums in
+        // `visit` depend on that order.
+        for p in f.host_ports.iter().chain(f.switches.iter().flat_map(|sw| &sw.ports)) {
+            visit(p);
         }
         let nhosts = self.topo.num_hosts();
         if nhosts > 0 {
             stats.mean_downlink_utilization /= nhosts as f64;
         }
-        for rack in &self.racks {
-            for t in &rack.transports {
-                stats.grants.merge(&t.grant_stats());
-            }
+        for t in &f.transports {
+            stats.grants.merge(&t.grant_stats());
         }
         stats.queue_means = means;
         stats.queue_maxes = maxes;
@@ -1713,6 +1570,53 @@ mod tests {
         // Buckets are sized from the 250 ns forward delay, rounded up to
         // a power of two.
         assert_eq!(net.engine_stats().bucket_width_ns, 256);
+    }
+
+    #[test]
+    fn every_link_has_a_port_at_both_ends() {
+        for topo in [
+            Topology::single_switch(4),
+            Topology::multi_tor(160),
+            Topology::paper_fabric(),
+            Topology::fat_tree(4),
+        ] {
+            let net = simple_net(topo.clone());
+            let f = &net.fabric;
+            let racks = topo.racks as usize;
+            assert_eq!(f.host_ports.len(), topo.num_hosts() as usize);
+            assert_eq!(f.switches.len(), racks + topo.spines as usize);
+            let switch_node = |i: usize| {
+                if i < racks {
+                    NodeId::Tor(i as u32)
+                } else {
+                    NodeId::Spine((i - racks) as u32)
+                }
+            };
+            // Every egress port in the fabric, with the node it leaves.
+            let ports: Vec<(NodeId, &Port<TestMeta>)> = topo
+                .hosts()
+                .map(NodeId::Host)
+                .zip(&f.host_ports)
+                .chain(
+                    f.switches
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(i, sw)| sw.ports.iter().map(move |p| (switch_node(i), p))),
+                )
+                .collect();
+            for &(node, port) in &ports {
+                let back = ports.iter().filter(|(n, p)| *n == port.peer && p.peer == node).count();
+                assert_eq!(back, 1, "{node:?} -> {:?}: {back} ports point back", port.peer);
+            }
+            for (i, sw) in f.switches.iter().enumerate() {
+                let expect = match (i < racks, topo.kind) {
+                    (true, _) => topo.tor_ports(),
+                    (false, FabricKind::LeafSpine) => topo.racks,
+                    (false, FabricKind::FatTree { k }) => k,
+                };
+                assert_eq!(sw.ports.len(), expect as usize, "ports at {:?}", switch_node(i));
+            }
+        }
     }
 
     #[test]
@@ -2112,7 +2016,8 @@ mod tests {
         }
         net.run_until(SimTime::from_millis(5));
         assert_eq!(net.take_app_events().len(), 40);
-        let up: Vec<u64> = net.racks[0].tor.ports[hpr..].iter().map(|p| p.stats.packets).collect();
+        let up: Vec<u64> =
+            net.fabric.switches[0].ports[hpr..].iter().map(|p| p.stats.packets).collect();
         assert!(up.iter().all(|&n| n > 0), "an uplink never carried traffic: {up:?}");
         assert_eq!(up.iter().sum::<u64>(), 40);
     }
